@@ -5,6 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release --offline
+# The benchmark package (BENCHMARK.json) sits outside the workspace and
+# imports ct-core's read-path names; build it here so a refactor that breaks
+# those imports fails locally, not in the driver.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 cargo test -q --offline
 cargo test -q --offline --test crash_recovery --test fault_matrix
 # Query-path determinism gate: the scheduled batch engine must answer
@@ -28,9 +32,11 @@ cargo run -q --release --offline --example quickstart > /dev/null
 cargo run -q --release --offline -p ct-bench --bin fig12_queries -- \
   --sf 0.005 --queries 20 --threads 2 --metrics target/fig12_metrics.json > /dev/null
 # Scaling baseline: exits non-zero if the parallel batch reads more pages
-# than the sequential one; BENCH_queries.json records wall/I-O/sched stats.
+# than the sequential one; target/BENCH_queries.json records wall/I-O/sched
+# stats. Every bench_* step writes under target/: the BENCH_*.json tracked at
+# the root are checked-in results, not something each CI run rewrites.
 cargo run -q --release --offline -p ct-bench --bin bench_queries -- \
-  --sf 0.05 --queries 200 --threads 4 --json BENCH_queries.json > /dev/null
+  --sf 0.05 --queries 200 --threads 4 --json target/BENCH_queries.json > /dev/null
 # Reader-during-update smoke: queries run concurrently with merge-pack
 # refreshes; exits non-zero on any snapshot-isolation violation.
 cargo run -q --release --offline -p ct-bench --bin bench_mixed -- \
@@ -41,9 +47,9 @@ cargo run -q --release --offline --example serving_smoke > /dev/null
 # Serving baseline: real server over loopback at two client counts; exits
 # non-zero if batched dispatch reads more pages per query than per-request
 # sequential dispatch allows (results/bench_serving_baseline.json), or any
-# query errors. BENCH_serving.json records qps and tail latencies.
+# query errors. target/BENCH_serving.json records qps and tail latencies.
 cargo run -q --release --offline -p ct-bench --bin bench_serving -- \
-  --sf 0.01 --queries 160 --threads 4 --json BENCH_serving.json > /dev/null
+  --sf 0.01 --queries 160 --threads 4 --json target/BENCH_serving.json > /dev/null
 # Delta-tier gates: tree+delta answers must equal a rebuilt base∪delta
 # engine across compaction, and concurrent /ingest + /query + merge-pack
 # must produce zero 5xx with monotonic visibility and an exact drained
@@ -57,7 +63,7 @@ cargo run -q --release --offline --example ingest_smoke > /dev/null
 # bit-identity after compaction, shutdown drain) or if the streaming/refresh
 # throughput ratio drops below results/bench_ingest_baseline.json.
 cargo run -q --release --offline -p ct-bench --bin bench_ingest -- \
-  --sf 0.01 --threads 2 --json BENCH_ingest.json > /dev/null
+  --sf 0.01 --threads 2 --json target/BENCH_ingest.json > /dev/null
 # Partitioned-forest gates: sharded answers must be bit-identical to the
 # unsharded engine for every query class at shards ∈ {1..4}, and a crashed
 # multi-shard refresh must recover to a consistent cut.
@@ -65,10 +71,10 @@ cargo test -q --offline --test sharded_equivalence --test sharded_recovery
 # Sharded scatter-gather smoke: shard-count sweep {1,2,4,8}; exits non-zero
 # if any sharded answer diverges from shards=1 or if shards=4 reads more
 # pages per query than the gather-overhead allowance in
-# results/bench_shards_baseline.json. BENCH_shards.json records build
+# results/bench_shards_baseline.json. target/BENCH_shards.json records build
 # wall/speedup, per-query page I/O, and the shard-skew report.
 cargo run -q --release --offline -p ct-bench --bin bench_shards -- \
-  --sf 0.02 --queries 28 --threads 4 --json BENCH_shards.json > /dev/null
+  --sf 0.02 --queries 28 --threads 4 --json target/BENCH_shards.json > /dev/null
 # Answer-cache equivalence gate: random query/refresh/ingest/compact
 # interleavings must answer bit-identically with the cache on and off (both
 # engines), and a stamp mismatch must force a miss after every flip.
@@ -76,7 +82,11 @@ cargo test -q --offline --test cache_equivalence
 # Answer-cache smoke: identical Zipf-skewed serving runs cache-on vs
 # cache-off; exits non-zero on any answer mismatch, zero hits, or if the
 # cached run reads more pages per query than
-# results/bench_cache_baseline.json allows. BENCH_cache.json records hit
-# rate and the page economy.
+# results/bench_cache_baseline.json allows. target/BENCH_cache.json records
+# hit rate and the page economy.
 cargo run -q --release --offline -p ct-bench --bin bench_cache -- \
-  --sf 0.01 --queries 240 --threads 2 --json BENCH_cache.json > /dev/null
+  --sf 0.01 --queries 240 --threads 2 --json target/BENCH_cache.json > /dev/null
+# Benchmark smoke: one short serve_uniform_cold run, untraced then traced;
+# exits non-zero on a wrong answer, a failed request, or if the ladder's page
+# counts diverge between serve_batch(&[q]) and the direct plan/execute rungs.
+benchmark/run.sh --quick --workload serve_uniform_cold > /dev/null

@@ -1,19 +1,17 @@
 //! The Cubetree storage engine (the paper's proposal).
 
 use crate::delta::{DeltaConfig, DeltaStats};
-use crate::engine::{BatchResult, RolapEngine, ServedAnswer, ServingEngine, ViewInfo};
-use crate::forest::{AnswerStamp, CubetreeForest};
-use crate::query::{
-    execute_forest_query, execute_forest_query_batch, execute_generation_query_batch_with_delta,
-    execute_query_with_delta, plan_generation_query,
+use crate::engine::{
+    query_sources, serve_sources, BatchResult, RolapEngine, ServedAnswer, ServingEngine, ViewInfo,
 };
+use crate::forest::{AnswerStamp, CubetreeForest};
+use crate::query::{execute_query_with_delta, plan_generation_query, QuerySource};
 use ct_common::query::QueryRow;
 use ct_common::{AttrId, Catalog, CostModel, CtError, Result, SliceQuery, ViewDef, ViewId};
 use ct_cube::Relation;
 use ct_rtree::LeafFormat;
 use ct_storage::env::DEFAULT_POOL_PAGES;
 use ct_storage::{IoSnapshot, Parallelism, StorageEnv};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of a [`CubetreeEngine`].
 #[derive(Clone, Debug)]
@@ -211,33 +209,16 @@ impl RolapEngine for CubetreeEngine {
     }
 
     fn query(&self, q: &SliceQuery) -> Result<Vec<QueryRow>> {
-        execute_forest_query(self.forest_ref()?, &self.env, &self.catalog, q)
+        let (pin, delta) = self.forest_ref()?.pin_with_delta();
+        execute_query_with_delta(&pin, delta.as_option(), &self.env, &self.catalog, q)
     }
 
+    /// One pin for the whole batch: it answers from a single generation
+    /// (and one delta snapshot) even if a refresh commits midway.
     fn query_batch(&self, queries: &[SliceQuery]) -> Result<BatchResult> {
-        // The scheduler is reserved for parallel environments: at threads=1
-        // the sequential per-query loop is the pinned bit-identical baseline
-        // (results *and* IoSnapshot), so nothing may reorder or prefetch.
-        if self.env.parallelism().is_parallel() && queries.len() > 1 {
-            let out =
-                execute_forest_query_batch(self.forest_ref()?, &self.env, &self.catalog, queries)?;
-            Ok(BatchResult { results: out.results, sched: Some(out.sched) })
-        } else {
-            // One pin for the whole loop: the batch answers from a single
-            // generation (and one delta snapshot) even if a refresh commits
-            // mid-way. Each call still opens its own "query" root phase, so
-            // the I/O accounting stays bit-identical to the historical
-            // per-query loop (an empty delta merges nothing).
-            let forest = self.forest_ref()?;
-            let (pin, delta) = forest.pin_with_delta();
-            let results = queries
-                .iter()
-                .map(|q| {
-                    execute_query_with_delta(&pin, delta.as_option(), &self.env, &self.catalog, q)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Ok(BatchResult { results, sched: None })
-        }
+        let (pin, delta) = self.forest_ref()?.pin_with_delta();
+        let source = QuerySource { gen: &pin, delta: delta.as_option(), env: &self.env };
+        query_sources(&[source], |_, _| true, 1, &self.catalog, queries)
     }
 
     fn update(&mut self, delta: &Relation) -> Result<()> {
@@ -310,11 +291,6 @@ impl ServingEngine for CubetreeEngine {
     /// One pin (and one delta snapshot) for the whole batch: answers and
     /// the stamped generation number come from the same snapshot even if a
     /// refresh or delta compaction commits midway.
-    ///
-    /// Execution is panic-isolated: a panicking query (or batch) is
-    /// answered as an error instead of unwinding into the server's batcher
-    /// thread. Without this, one poisoned batch would strand every queued
-    /// waiter and permanently eat the admission queue's capacity.
     fn serve_batch(
         &self,
         queries: &[SliceQuery],
@@ -323,52 +299,11 @@ impl ServingEngine for CubetreeEngine {
             return (0, queries.iter().map(|_| Err("engine not loaded".to_string())).collect());
         };
         let (pin, delta) = forest.pin_with_delta();
-        let generation = pin.number();
         let stamp = AnswerStamp::of(&pin, &delta);
-        let served = |rows: Vec<QueryRow>| ServedAnswer { rows, stamps: vec![stamp] };
-        let answers = if self.env.parallelism().is_parallel() && queries.len() > 1 {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                execute_generation_query_batch_with_delta(
-                    &pin,
-                    delta.as_option(),
-                    &self.env,
-                    &self.catalog,
-                    queries,
-                )
-            }));
-            match outcome {
-                Ok(Ok(out)) => out.results.into_iter().map(|rows| Ok(served(rows))).collect(),
-                Ok(Err(e)) => {
-                    let msg = format!("batch execution failed: {e}");
-                    queries.iter().map(|_| Err(msg.clone())).collect()
-                }
-                Err(_) => {
-                    let msg = "batch execution panicked".to_string();
-                    queries.iter().map(|_| Err(msg.clone())).collect()
-                }
-            }
-        } else {
-            queries
-                .iter()
-                .map(|q| {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        execute_query_with_delta(
-                            &pin,
-                            delta.as_option(),
-                            &self.env,
-                            &self.catalog,
-                            q,
-                        )
-                    }));
-                    match outcome {
-                        Ok(Ok(rows)) => Ok(served(rows)),
-                        Ok(Err(e)) => Err(format!("query execution failed: {e}")),
-                        Err(_) => Err("query execution panicked".to_string()),
-                    }
-                })
-                .collect()
-        };
-        (generation, answers)
+        let source = QuerySource { gen: &pin, delta: delta.as_option(), env: &self.env };
+        let answers =
+            serve_sources(&[source], |_, _| true, 1, &self.catalog, queries, |_| vec![stamp]);
+        (pin.number(), answers)
     }
 
     fn answer_stamps(&self, q: &SliceQuery) -> Vec<AnswerStamp> {

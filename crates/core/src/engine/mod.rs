@@ -19,6 +19,7 @@ pub(crate) use cubetree_engine::view_infos;
 
 use crate::delta::{DeltaConfig, DeltaStats};
 use crate::forest::AnswerStamp;
+use crate::query::{execute_query_batch, QuerySource};
 use crate::sched::SchedSummary;
 use ct_common::query::QueryRow;
 use ct_common::{AggFn, Catalog, Result, SliceQuery};
@@ -32,6 +33,53 @@ pub struct BatchResult {
     /// Scheduler statistics, when the engine ran the batch through a
     /// scheduler (`None` for the sequential fallback).
     pub sched: Option<SchedSummary>,
+}
+
+/// [`RolapEngine::query_batch`] of both Cubetree engines over their pinned
+/// `sources` (see [`execute_query_batch`]): all or nothing, the first failing
+/// query's error fails the batch.
+pub(crate) fn query_sources(
+    sources: &[QuerySource<'_>],
+    consults: impl Fn(usize, usize) -> bool,
+    threads: usize,
+    catalog: &Catalog,
+    queries: &[SliceQuery],
+) -> Result<BatchResult> {
+    let (results, sched) = execute_query_batch(sources, consults, threads, catalog, queries)?;
+    Ok(BatchResult { results: results.into_iter().collect::<Result<_>>()?, sched })
+}
+
+/// [`ServingEngine::serve_batch`] of both Cubetree engines over their pinned
+/// `sources`; `stamps(i)` are query `i`'s freshness stamps under those pins.
+/// A query no view can answer fails alone; an execution error fails the
+/// batch. Execution is panic-isolated: a panicking batch is answered as
+/// errors instead of unwinding into the server's batcher thread, where one
+/// poisoned batch would strand every queued waiter and permanently eat the
+/// admission queue's capacity.
+pub(crate) fn serve_sources(
+    sources: &[QuerySource<'_>],
+    consults: impl Fn(usize, usize) -> bool,
+    threads: usize,
+    catalog: &Catalog,
+    queries: &[SliceQuery],
+    stamps: impl Fn(usize) -> Vec<AnswerStamp>,
+) -> Vec<std::result::Result<ServedAnswer, String>> {
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        execute_query_batch(sources, consults, threads, catalog, queries)
+    }));
+    let whole_batch = |msg: String| queries.iter().map(|_| Err(msg.clone())).collect();
+    match outcome {
+        Ok(Ok((results, _))) => results
+            .into_iter()
+            .enumerate()
+            .map(|(i, rows)| match rows {
+                Ok(rows) => Ok(ServedAnswer { rows, stamps: stamps(i) }),
+                Err(e) => Err(format!("query execution failed: {e}")),
+            })
+            .collect(),
+        Ok(Err(e)) => whole_batch(format!("batch execution failed: {e}")),
+        Err(_) => whole_batch("batch execution panicked".to_string()),
+    }
 }
 
 /// A complete ROLAP storage engine: load a fact relation, answer slice
@@ -149,7 +197,9 @@ pub trait ServingEngine: Send + Sync {
     /// The freshness stamps a fresh execution of `q` would carry right now
     /// (see [`ServedAnswer::stamps`]), without pinning or executing
     /// anything. The answer cache probes with these: equality against a
-    /// stored entry's stamps proves the entry is current. Returns an empty
+    /// stored entry's stamps proves the entry is current, and the last
+    /// stamp's generation is the engine-wide generation `serve_batch` would
+    /// report, which is how a cache hit is labelled. Returns an empty
     /// vector when the engine is not loaded (an empty probe never matches a
     /// stored entry, so unloaded engines simply miss).
     fn answer_stamps(&self, q: &SliceQuery) -> Vec<AnswerStamp>;

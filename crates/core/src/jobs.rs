@@ -2,7 +2,7 @@
 //! ([`crate::forest`]) and the batched query executor ([`crate::query`]).
 //!
 //! Jobs are independent units dispatched over a bounded pool of scoped
-//! threads; work-stealing is a single atomic cursor over a slot vector.
+//! threads; work-stealing is a single atomic cursor over the job indices.
 //! Error reporting is deterministic: the error of the lowest-indexed failing
 //! job wins regardless of completion order, and a panicking job surfaces as
 //! an `Err` instead of taking down (or hanging) the pool.
@@ -14,10 +14,10 @@ use std::sync::Mutex;
 /// One boxed job.
 pub(crate) type Job<'a> = Box<dyn FnOnce() -> Result<()> + Send + 'a>;
 
-/// Runs one job, converting a panic into an error. The panic payload's
+/// Runs `f(i)`, converting a panic into an error. The panic payload's
 /// message is preserved when it is a string.
-fn run_job_caught(job: Job<'_>) -> Result<()> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+fn run_caught<T>(f: &(impl Fn(usize) -> Result<T> + Sync), i: usize) -> Result<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
         Ok(r) => r,
         Err(payload) => {
             let msg = payload
@@ -30,45 +30,55 @@ fn run_job_caught(job: Job<'_>) -> Result<()> {
     }
 }
 
-/// Runs independent jobs on at most `threads` scoped workers (inline when
-/// sequential). Jobs may finish in any order but must be deterministic in
-/// isolation; on failure the error of the lowest-indexed failing job wins,
-/// so error reporting is deterministic too.
-pub(crate) fn run_jobs(threads: usize, jobs: Vec<Job<'_>>) -> Result<()> {
-    if threads <= 1 || jobs.len() <= 1 {
-        for job in jobs {
-            run_job_caught(job)?;
-        }
-        return Ok(());
+/// Maps `f` over `0..n` on at most `threads` scoped workers and returns the
+/// outputs in index order. With one thread or one job it runs inline, in
+/// order, on the calling thread — no spawn, no box, no lock — which is what
+/// keeps a batch of one on one source as cheap as a direct call. Jobs may
+/// finish in any order but must be deterministic in isolation; on failure
+/// the error of the lowest-indexed failing job wins.
+pub(crate) fn map_jobs<T: Send>(
+    threads: usize,
+    n: usize,
+    f: impl Fn(usize) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(|i| run_caught(&f, i)).collect();
     }
-    let workers = threads.min(jobs.len());
-    let slots: Vec<Mutex<Option<Job<'_>>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let errors: Vec<Mutex<Option<CtError>>> =
-        slots.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..workers {
+        for _ in 0..threads.min(n) {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= slots.len() {
+                if i >= n {
                     break;
                 }
-                // Poisoning is impossible (locks are only held to move the
-                // job/error in or out), but recover the guard rather than
-                // panic if it ever happens.
-                let job = slots[i].lock().unwrap_or_else(|p| p.into_inner()).take();
-                let Some(job) = job else { continue };
-                if let Err(e) = run_job_caught(job) {
-                    *errors[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
-                }
+                let out = run_caught(&f, i);
+                // Poisoning is impossible (the lock is only held to move the
+                // output in or out), but recover the guard rather than panic
+                // if it ever happens.
+                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
             });
         }
     });
-    for e in errors {
-        if let Some(e) = e.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(e);
-        }
-    }
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .unwrap_or_else(|| Err(CtError::invalid("a worker job never ran")))
+        })
+        .collect()
+}
+
+/// Runs independent boxed jobs through [`map_jobs`].
+pub(crate) fn run_jobs(threads: usize, jobs: Vec<Job<'_>>) -> Result<()> {
+    let slots: Vec<Mutex<Option<Job<'_>>>> =
+        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    map_jobs(threads, slots.len(), |i| {
+        let job = slots[i].lock().unwrap_or_else(|p| p.into_inner()).take();
+        job.map_or(Ok(()), |job| job())
+    })?;
     Ok(())
 }
 

@@ -10,16 +10,17 @@
 //! that is exactly what the paper's multi-sort-order replicas are for.
 
 use crate::delta::DeltaSnapshot;
-use crate::forest::{CubetreeForest, Generation};
-use crate::jobs::{run_jobs, Job};
-use crate::sched::SchedSummary;
+use crate::forest::{Generation, PlacedView};
+use crate::jobs::map_jobs;
+use crate::sched::{schedule_planned, SchedSummary};
 use ct_common::query::QueryRow;
 use ct_common::{
     AggFn, AggState, AttrId, Catalog, CtError, Hierarchy, Rect, Result, SliceQuery, ViewDef,
     ViewId, COORD_MAX,
 };
+use ct_storage::StorageEnv;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::time::Instant;
 
 /// Leaf pages prefetched ahead of a confirmed sequential sweep in the
 /// batched executor (see [`ct_rtree::PackedRTree::search_with_readahead`]).
@@ -151,23 +152,12 @@ impl<'a> RollupAggregator<'a> {
 /// A planned access path into the forest.
 #[derive(Clone, Debug)]
 pub struct ForestPlan {
-    /// Index into [`CubetreeForest::placements`].
+    /// Index into [`Generation::placements`].
     pub placement: usize,
     /// Expected matching tuples (the paper's cost unit).
     pub est_tuples: f64,
     /// Length of the physical-sort-order prefix covered by predicates.
     pub sort_prefix: usize,
-}
-
-/// Chooses the cheapest placement able to answer `q`, planning against the
-/// current generation. Convenience wrapper over
-/// [`plan_generation_query`] for callers that do not hold a pin.
-pub fn plan_forest_query(
-    forest: &CubetreeForest,
-    catalog: &Catalog,
-    q: &SliceQuery,
-) -> Result<ForestPlan> {
-    plan_generation_query(&forest.pin(), catalog, q)
 }
 
 /// Chooses the cheapest placement able to answer `q` within one pinned
@@ -195,7 +185,7 @@ pub fn plan_generation_query(
 /// # Errors
 /// [`CtError::Unsupported`] if no placement derives the query's node.
 pub fn plan_query_with_entries(
-    placements: &[crate::forest::PlacedView],
+    placements: &[PlacedView],
     entries_of: impl Fn(ViewId) -> u64,
     catalog: &Catalog,
     q: &SliceQuery,
@@ -292,60 +282,33 @@ fn delta_aggregator<'a>(
     Ok(agg)
 }
 
-/// Plans and executes `q` against the forest's current generation, merged
-/// with the resident delta tier (pinned atomically together). `env` is
-/// charged the CPU tuple cost of the entries the search touches; delta rows
-/// are in-memory and charge no page I/O.
-pub fn execute_forest_query(
-    forest: &CubetreeForest,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    q: &SliceQuery,
-) -> Result<Vec<QueryRow>> {
-    let (pin, delta) = forest.pin_with_delta();
-    execute_query_with_delta(&pin, delta.as_option(), env, catalog, q)
+/// One place a batch reads from: a pinned generation, the resident-delta
+/// snapshot taken with it (see [`crate::forest::CubetreeForest::pin_with_delta`];
+/// `None` or empty merges nothing), and the environment charged for the page
+/// reads. The unsharded engine has one source, the sharded engine one per
+/// shard; every source of a batch materializes the same placements.
+#[derive(Clone, Copy)]
+pub(crate) struct QuerySource<'a> {
+    pub gen: &'a Generation,
+    pub delta: Option<&'a DeltaSnapshot>,
+    pub env: &'a StorageEnv,
 }
 
-/// Plans and executes `q` against one pinned generation. The snapshot's
-/// trees and files stay readable even if an update commits meanwhile.
-pub fn execute_generation_query(
-    gen: &Generation,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    q: &SliceQuery,
-) -> Result<Vec<QueryRow>> {
-    execute_query_with_delta(gen, None, env, catalog, q)
-}
-
-/// Plans and executes `q` against one pinned generation, merging the tree
-/// scan with a resident-delta snapshot taken under the same generation lock
-/// (see [`CubetreeForest::pin_with_delta`]). With `delta` `None` this is
-/// exactly the historical tree-only executor, bit for bit.
-pub fn execute_query_with_delta(
-    gen: &Generation,
-    delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    q: &SliceQuery,
-) -> Result<Vec<QueryRow>> {
-    Ok(execute_query_partial(gen, delta, env, catalog, q)?.finish())
-}
-
-/// One executed query's *unfinalized* aggregate groups: the scatter-gather
-/// unit of the sharded engine. Partial answers for the same query from
-/// different shards (or any disjoint sources) merge with
-/// [`PartialAnswer::absorb`]; [`PartialAnswer::finish`] is then called
-/// exactly once, so AVG finalization and retraction annihilation happen
-/// after every source has contributed. Because [`ct_common::AggState::merge`]
-/// is associative and commutative over integers, the finalized rows are
-/// bit-identical however the sources were partitioned.
+/// One executed query's *unfinalized* aggregate groups: the unit the read
+/// path gathers. Partial answers for the same query from different sources
+/// merge with [`PartialAnswer::absorb`]; [`PartialAnswer::finish`] is then
+/// called exactly once, so AVG finalization and retraction annihilation
+/// happen after every source has contributed. Because
+/// [`ct_common::AggState::merge`] is associative and commutative over
+/// integers, the finalized rows are bit-identical however the sources were
+/// partitioned.
 pub struct PartialAnswer<'a> {
     agg: RollupAggregator<'a>,
     agg_fn: AggFn,
 }
 
 impl<'a> PartialAnswer<'a> {
-    /// Merges another shard's partial answer for the *same query*.
+    /// Merges another source's partial answer for the *same query*.
     pub fn absorb(&mut self, other: PartialAnswer<'_>) {
         debug_assert_eq!(
             self.agg_fn, other.agg_fn,
@@ -361,269 +324,238 @@ impl<'a> PartialAnswer<'a> {
     }
 }
 
-/// The single-query executor in partial form: identical planning, tree
-/// scan, metrics and delta merging to [`execute_query_with_delta`], but the
-/// groups come back unfinalized so a sharded caller can gather partials
-/// from several forests before one [`PartialAnswer::finish`].
-pub fn execute_query_partial<'a>(
-    gen: &Generation,
-    delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
+/// The scan unit: one leaf pass over `region` of `placement` feeds every
+/// rider's aggregator (safe because [`RollupAggregator`] re-checks all
+/// predicates), the touched-tuple cost is charged once for the pass, and
+/// each rider then absorbs the resident delta rows for its own query.
+/// `window` is the leaf readahead; 0 is the plain search.
+fn scan<'a>(
+    source: QuerySource<'_>,
     catalog: &'a Catalog,
-    q: &SliceQuery,
-) -> Result<PartialAnswer<'a>> {
-    let plan = plan_generation_query(gen, catalog, q)?;
-    execute_planned_query_partial(gen, delta, env, catalog, q, &plan)
+    placement: &PlacedView,
+    region: &Rect,
+    window: usize,
+    riders: &[&SliceQuery],
+) -> Result<Vec<PartialAnswer<'a>>> {
+    let arity = placement.def.arity();
+    let want = placement.def.id.0;
+    let mut aggs = riders
+        .iter()
+        .map(|q| RollupAggregator::new(catalog, &placement.def.projection, q))
+        .collect::<Result<Vec<_>>>()?;
+    let mut touched = 0u64;
+    source.gen.tree(placement.tree).search_with_readahead(region, window, |view, point, state| {
+        touched += 1;
+        if view == want {
+            for agg in &mut aggs {
+                agg.accept(&point.coords()[..arity], state);
+            }
+        }
+        true
+    })?;
+    source.env.stats().add_tuples(touched);
+    let recorder = source.env.recorder();
+    let delta = source.delta.and_then(DeltaSnapshot::as_option);
+    for (q, agg) in riders.iter().zip(&mut aggs) {
+        if recorder.is_enabled() {
+            // Riders of one pass touch the same entries, so per-query metric
+            // values do not depend on how the batch was grouped.
+            recorder.observe("core.query.touched_entries", touched);
+            recorder.add(&format!("core.query.by_view.v{want}"), 1);
+        }
+        if let Some(d) = delta {
+            agg.absorb(delta_aggregator(d, catalog, q)?);
+            if recorder.is_enabled() {
+                recorder.add("core.query.delta_merged", 1);
+                recorder.observe("core.query.delta_rows", d.groups());
+            }
+        }
+    }
+    Ok(aggs.into_iter().map(|agg| PartialAnswer { agg, agg_fn: placement.def.agg }).collect())
 }
 
-/// [`execute_query_partial`] with the access path already chosen. The
-/// sharded engine plans once across all shards (see
-/// [`plan_query_with_entries`]) and then runs the *same* placement on every
-/// shard — placements are identical across shard forests, so the index is
-/// portable.
+/// Executes one planned query against one source: its own root "query"
+/// phase (successive queries accumulate under one span whose I/O delta
+/// reconciles against the global counters), no readahead. `env` is charged
+/// the CPU tuple cost of the entries the search touches; delta rows are
+/// in-memory and charge no page I/O.
 pub fn execute_planned_query_partial<'a>(
     gen: &Generation,
     delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
+    env: &StorageEnv,
     catalog: &'a Catalog,
     q: &SliceQuery,
     plan: &ForestPlan,
 ) -> Result<PartialAnswer<'a>> {
-    // Root phase: successive queries accumulate under one "query" span whose
-    // I/O delta reconciles against the global counters.
     let _phase = env.phase("query");
     let placement = &gen.placements()[plan.placement];
-    let tree = gen.tree(placement.tree);
-    let region = query_region(&placement.def, tree.dims(), q);
-    let arity = placement.def.arity();
-    let mut agg = RollupAggregator::new(catalog, &placement.def.projection, q)?;
-    let want = placement.def.id.0;
-    let mut touched = 0u64;
-    tree.search(&region, |view, point, state| {
-        touched += 1;
-        if view == want {
-            agg.accept(&point.coords()[..arity], state);
-        }
-        true
-    })?;
-    env.stats().add_tuples(touched);
+    let region = query_region(&placement.def, gen.tree(placement.tree).dims(), q);
+    scan(QuerySource { gen, delta, env }, catalog, placement, &region, 0, &[q])?
+        .pop()
+        .ok_or_else(|| CtError::invalid("scan left its rider unanswered"))
+}
+
+/// One planned query: its position in the caller's batch, the query, its plan.
+pub(crate) type Planned<'q> = (usize, &'q SliceQuery, &'q ForestPlan);
+
+/// One source's partial answers, tagged with their queries' batch positions,
+/// and what its scheduler did (`None`: the share ran in order).
+type SourceAnswers<'a> = (Vec<(usize, PartialAnswer<'a>)>, Option<SchedSummary>);
+
+/// One outcome per query, positionally aligned, and the summed statistics of
+/// the sources that scheduled (`None` when every share ran in order).
+pub(crate) type BatchAnswers = (Vec<Result<Vec<QueryRow>>>, Option<SchedSummary>);
+
+/// Runs one source's share of a batch and makes the read path's only
+/// sequential-or-scheduled choice. The scheduler is reserved for parallel
+/// environments with something to reorder: at `threads = 1` (or for a batch
+/// of one) the in-order, readahead-free loop is the pinned bit-identical
+/// baseline — rows *and* `IoSnapshot`. Otherwise the share is partitioned
+/// into per-tree groups (see [`crate::sched`]) that run concurrently on the
+/// environment's worker budget, each sweeping its tree's leaf runs in packed
+/// order with readahead, identical neighbours sharing one [`scan`].
+fn execute_on_source<'a>(
+    source: QuerySource<'_>,
+    catalog: &'a Catalog,
+    share: &[Planned<'_>],
+) -> Result<SourceAnswers<'a>> {
+    let QuerySource { gen, delta, env } = source;
+    if !env.parallelism().is_parallel() || share.len() <= 1 {
+        let partials = share
+            .iter()
+            .map(|&(at, q, plan)| {
+                Ok((at, execute_planned_query_partial(gen, delta, env, catalog, q, plan)?))
+            })
+            .collect::<Result<_>>()?;
+        return Ok((partials, None));
+    }
+    // One root "query" phase around the whole share, opened and dropped on
+    // the calling thread so root phases never overlap.
+    let _phase = env.phase("query");
+    let (groups, sched) = schedule_planned(gen, share);
     let recorder = env.recorder();
-    if recorder.is_enabled() {
-        recorder.observe("core.query.touched_entries", touched);
-        recorder.add(&format!("core.query.by_view.v{}", placement.def.id.0), 1);
-    }
-    if let Some(d) = delta.and_then(DeltaSnapshot::as_option) {
-        agg.absorb(delta_aggregator(d, catalog, q)?);
-        if recorder.is_enabled() {
-            recorder.add("core.query.delta_merged", 1);
-            recorder.observe("core.query.delta_rows", d.groups());
-        }
-    }
-    Ok(PartialAnswer { agg, agg_fn: placement.def.agg })
-}
-
-/// Results of one scheduled batch execution.
-pub struct BatchOutput {
-    /// Per-query result rows, positionally aligned with the input batch.
-    pub results: Vec<Vec<QueryRow>>,
-    /// What the scheduler did with the batch.
-    pub sched: SchedSummary,
-}
-
-/// Plans, schedules and executes a whole batch against the forest.
-///
-/// The batch is partitioned into per-tree groups (see [`crate::sched`]);
-/// groups run concurrently on the environment's worker budget while queries
-/// inside a group sweep their tree's leaf runs in packed order with
-/// readahead. Consecutive queries with identical placement and region share
-/// one leaf pass: the tree is searched once and every rider's aggregator is
-/// fed from it (safe because [`RollupAggregator`] re-checks all predicates),
-/// with the touched-tuple cost charged once for the pass.
-///
-/// Per-query results and counters are identical to running the sequential
-/// executor query by query; only execution order (and therefore interleaved
-/// I/O attribution at `threads > 1`) differs. Execution errors surface with
-/// the lowest batch index among failing *groups* — planning errors, the
-/// common case, are reported for the first offending query exactly like the
-/// sequential loop.
-pub fn execute_forest_query_batch(
-    forest: &CubetreeForest,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    queries: &[SliceQuery],
-) -> Result<BatchOutput> {
-    // One pin around the whole batch: every query in it answers from the
-    // same generation, merged with the delta resident at pin time.
-    let (pin, delta) = forest.pin_with_delta();
-    execute_generation_query_batch_with_delta(&pin, delta.as_option(), env, catalog, queries)
-}
-
-/// Plans, schedules and executes a whole batch against one pinned
-/// generation — the form [`execute_forest_query_batch`] delegates to.
-///
-/// Callers that need to attribute the answers to a specific committed
-/// generation (the serving layer stamps every HTTP response with the
-/// generation it answered from) pin the forest themselves, read
-/// [`Generation::number`], and execute through this entry point, so the
-/// stamp and the answers are guaranteed to come from the same snapshot.
-pub fn execute_generation_query_batch(
-    gen: &Generation,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    queries: &[SliceQuery],
-) -> Result<BatchOutput> {
-    execute_generation_query_batch_with_delta(gen, None, env, catalog, queries)
-}
-
-/// The batched executor with resident-delta merging: every rider of a
-/// shared scan additionally absorbs the delta snapshot's groups for its own
-/// query (each rider re-applies its own predicates over the delta rows,
-/// exactly as it does over the shared tree scan). With `delta` `None` this
-/// is the historical batched executor, bit for bit.
-pub fn execute_generation_query_batch_with_delta(
-    gen: &Generation,
-    delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
-    catalog: &Catalog,
-    queries: &[SliceQuery],
-) -> Result<BatchOutput> {
-    let (partials, sched) =
-        execute_generation_query_batch_partial(gen, delta, env, catalog, queries)?;
-    let results = partials.into_iter().map(PartialAnswer::finish).collect();
-    Ok(BatchOutput { results, sched })
-}
-
-/// The batched executor in partial form: the scheduled per-tree sweeps,
-/// shared scans, readahead and delta merging of
-/// [`execute_generation_query_batch_with_delta`], returning one unfinalized
-/// [`PartialAnswer`] per query (positionally aligned with the batch) for a
-/// sharded caller to gather before finishing.
-pub fn execute_generation_query_batch_partial<'a>(
-    gen: &Generation,
-    delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
-    catalog: &'a Catalog,
-    queries: &[SliceQuery],
-) -> Result<(Vec<PartialAnswer<'a>>, SchedSummary)> {
-    let plans = queries
-        .iter()
-        .map(|q| plan_generation_query(gen, catalog, q))
-        .collect::<Result<Vec<_>>>()?;
-    execute_planned_query_batch_partial(gen, delta, env, catalog, queries, &plans)
-}
-
-/// [`execute_generation_query_batch_partial`] with every access path
-/// already chosen (one plan per query, positionally aligned). See
-/// [`plan_query_with_entries`] for why the sharded engine must plan
-/// centrally.
-pub fn execute_planned_query_batch_partial<'a>(
-    gen: &Generation,
-    delta: Option<&DeltaSnapshot>,
-    env: &ct_storage::StorageEnv,
-    catalog: &'a Catalog,
-    queries: &[SliceQuery],
-    plans: &[ForestPlan],
-) -> Result<(Vec<PartialAnswer<'a>>, SchedSummary)> {
-    let delta = delta.and_then(DeltaSnapshot::as_option);
-    // One root "query" phase around the whole batch, opened and dropped on
-    // the calling thread so root phases never overlap and the I/O delta
-    // reconciles against the global counters.
-    let phase = env.phase("query");
-    let (groups, sched) = crate::sched::schedule_planned(gen, queries, plans)?;
-    let recorder = env.recorder().clone();
     if recorder.is_enabled() {
         recorder.add("query.sched.batches", 1);
         recorder.add("query.sched.groups", sched.groups);
         recorder.add("query.sched.reordered", sched.reordered);
         recorder.add("query.sched.shared_scans", sched.shared_scans);
     }
-    let slots: Vec<Mutex<Option<PartialAnswer<'a>>>> =
-        queries.iter().map(|_| Mutex::new(None)).collect();
-    let mut jobs: Vec<Job<'_>> = Vec::with_capacity(groups.len());
-    for group in groups {
-        let slots = &slots;
-        let recorder = recorder.clone();
-        jobs.push(Box::new(move || {
-            // Wall-only span: concurrent groups cannot split the shared I/O
-            // counters, so per-group spans time only.
-            let _span = recorder.span(&format!("query/tree{}", group.tree));
-            let tree = gen.tree(group.tree);
-            let mut i = 0;
-            while i < group.queries.len() {
-                // Extend the shared-scan unit over identical scans.
-                let mut j = i + 1;
-                while j < group.queries.len()
-                    && group.queries[j].plan.placement == group.queries[i].plan.placement
-                    && group.queries[j].region == group.queries[i].region
-                {
-                    j += 1;
-                }
-                let unit = &group.queries[i..j];
-                let placement = &gen.placements()[unit[0].plan.placement];
-                let arity = placement.def.arity();
-                let want = placement.def.id.0;
-                let mut aggs = unit
-                    .iter()
-                    .map(|sq| {
-                        RollupAggregator::new(
-                            catalog,
-                            &placement.def.projection,
-                            &queries[sq.index],
-                        )
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let mut touched = 0u64;
-                tree.search_with_readahead(&unit[0].region, READAHEAD_WINDOW, |view, point, state| {
-                    touched += 1;
-                    if view == want {
-                        for agg in aggs.iter_mut() {
-                            agg.accept(&point.coords()[..arity], state);
-                        }
-                    }
-                    true
-                })?;
-                // One leaf pass, charged once however many queries rode it.
-                env.stats().add_tuples(touched);
-                if recorder.is_enabled() {
-                    // Identical scans touch identical entries, so per-query
-                    // metric values match the sequential executor's.
-                    for _ in unit {
-                        recorder.observe("core.query.touched_entries", touched);
-                        recorder.add(&format!("core.query.by_view.v{want}"), 1);
-                    }
-                }
-                for (sq, mut agg) in unit.iter().zip(aggs) {
-                    if let Some(d) = delta {
-                        agg.absorb(delta_aggregator(d, catalog, &queries[sq.index])?);
-                        if recorder.is_enabled() {
-                            recorder.add("core.query.delta_merged", 1);
-                            recorder.observe("core.query.delta_rows", d.groups());
-                        }
-                    }
-                    *slots[sq.index].lock().unwrap_or_else(|p| p.into_inner()) =
-                        Some(PartialAnswer { agg, agg_fn: placement.def.agg });
-                }
-                i = j;
-            }
-            Ok(())
-        }));
-    }
-    run_jobs(env.parallelism().threads, jobs)?;
-    drop(phase);
-    let partials = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .ok_or_else(|| CtError::invalid("batch execution left a query unanswered"))
+    let swept = map_jobs(env.parallelism().threads, groups.len(), |g| {
+        let group = &groups[g];
+        // Wall-only span: concurrent groups cannot split the shared I/O
+        // counters, so per-group spans time only.
+        let _span = recorder.span(&format!("query/tree{}", group.tree));
+        let mut answered = Vec::with_capacity(group.queries.len());
+        let mut rest = &group.queries[..];
+        while let Some(first) = rest.first() {
+            let shared = rest.iter().take_while(|sq| sq.same_scan(first)).count();
+            let (unit, tail) = rest.split_at(shared);
+            let riders: Vec<&SliceQuery> = unit.iter().map(|sq| share[sq.index].1).collect();
+            let placement = &gen.placements()[first.placement];
+            let partials =
+                scan(source, catalog, placement, &first.region, READAHEAD_WINDOW, &riders)?;
+            answered.extend(unit.iter().map(|sq| share[sq.index].0).zip(partials));
+            rest = tail;
+        }
+        Ok(answered)
+    })?;
+    Ok((swept.into_iter().flatten().collect(), Some(sched)))
+}
+
+/// The read path, whole: plan → execute to [`PartialAnswer`]s per source →
+/// gather → finish. "One shard", "no delta", "a batch of one" and
+/// "`threads = 1`" are inputs here, not code paths of their own.
+///
+/// Every query is planned once, up front, against entry counts summed over
+/// all sources (see [`plan_query_with_entries`]); a query no view can answer
+/// fails alone. Each source then runs the planned queries that consult it
+/// (`consults(query, source)` — the shard router's pruning; a source nobody
+/// consults is skipped) through [`execute_on_source`], at most `threads`
+/// sources at a time, and the partials merge per query in source order
+/// before one `finish`. An execution error or panic fails the whole batch.
+pub(crate) fn execute_query_batch(
+    sources: &[QuerySource<'_>],
+    consults: impl Fn(usize, usize) -> bool,
+    threads: usize,
+    catalog: &Catalog,
+    queries: &[SliceQuery],
+) -> Result<BatchAnswers> {
+    let first = sources.first().ok_or_else(|| CtError::invalid("a batch needs a source"))?;
+    let plans: Vec<Result<ForestPlan>> = queries
+        .iter()
+        .map(|q| {
+            let entries_of = |id| sources.iter().map(|s| s.gen.entries_of(id)).sum();
+            plan_query_with_entries(first.gen.placements(), entries_of, catalog, q)
         })
-        .collect::<Result<Vec<_>>>()?;
-    Ok((partials, sched))
+        .collect();
+    let planned: Vec<Planned<'_>> = plans
+        .iter()
+        .enumerate()
+        .filter_map(|(at, plan)| Some((at, &queries[at], plan.as_ref().ok()?)))
+        .collect();
+    let shares: Vec<(usize, Vec<Planned<'_>>)> = (0..sources.len())
+        .map(|s| (s, planned.iter().copied().filter(|p| consults(p.0, s)).collect::<Vec<_>>()))
+        .filter(|(_, share)| !share.is_empty())
+        .collect();
+    let executed = map_jobs(threads, shares.len(), |k| {
+        let (s, share) = &shares[k];
+        execute_on_source(sources[*s], catalog, share)
+    })?;
+    // Timed only where there is something to merge and someone to read it.
+    let recorder = first.env.recorder();
+    let gather_start = (sources.len() > 1 && recorder.is_enabled()).then(Instant::now);
+    let mut merged: Vec<Option<PartialAnswer<'_>>> = queries.iter().map(|_| None).collect();
+    let mut sched: Option<SchedSummary> = None;
+    for (partials, swept) in executed {
+        if let Some(s) = swept {
+            let total = sched.get_or_insert_with(SchedSummary::default);
+            total.groups += s.groups;
+            total.reordered += s.reordered;
+            total.shared_scans += s.shared_scans;
+        }
+        for (at, part) in partials {
+            match &mut merged[at] {
+                None => merged[at] = Some(part),
+                Some(m) => m.absorb(part),
+            }
+        }
+    }
+    let results = plans
+        .into_iter()
+        .zip(merged)
+        .map(|(plan, gathered)| {
+            let gathered = gathered.ok_or_else(|| CtError::invalid("query routed to zero shards"));
+            plan.and_then(|_| Ok(gathered?.finish()))
+        })
+        .collect();
+    if let Some(start) = gather_start {
+        recorder.observe("shard.gather_us", start.elapsed().as_micros() as u64);
+    }
+    Ok((results, sched))
+}
+
+/// Plans and executes one query against one pinned generation, merging the
+/// tree scan with a resident-delta snapshot taken under the same generation
+/// lock: the engines' read path over one source and a batch of one. The
+/// snapshot's trees and files stay readable even if an update commits
+/// meanwhile.
+pub fn execute_query_with_delta(
+    gen: &Generation,
+    delta: Option<&DeltaSnapshot>,
+    env: &StorageEnv,
+    catalog: &Catalog,
+    q: &SliceQuery,
+) -> Result<Vec<QueryRow>> {
+    let source = QuerySource { gen, delta, env };
+    let (mut results, _) =
+        execute_query_batch(&[source], |_, _| true, 1, catalog, std::slice::from_ref(q))?;
+    results.pop().unwrap_or_else(|| Err(CtError::invalid("batch of one left no answer")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forest::CubetreeForest;
     use ct_common::ViewDef;
     use ct_cube::Relation;
     use ct_rtree::LeafFormat;
@@ -712,7 +644,7 @@ mod tests {
         let (env, cat, forest, [p, s, _]) = setup();
         let fact = fact_of(&env);
         let q = SliceQuery::new(vec![s], vec![(p, 3)]);
-        let mut got = execute_forest_query(&forest, &env, &cat, &q).unwrap();
+        let mut got = execute_query_with_delta(&forest.pin(), None, &env, &cat, &q).unwrap();
         got.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(got, reference(&fact, &q));
     }
@@ -723,7 +655,7 @@ mod tests {
         let fact = fact_of(&env);
         // Node {p, c} is not materialized; must roll up from psc (a replica).
         let q = SliceQuery::new(vec![p], vec![(c, 2)]);
-        let mut got = execute_forest_query(&forest, &env, &cat, &q).unwrap();
+        let mut got = execute_query_with_delta(&forest.pin(), None, &env, &cat, &q).unwrap();
         got.sort_by(|a, b| a.key.cmp(&b.key));
         assert_eq!(got, reference(&fact, &q));
         let _ = s;
@@ -735,7 +667,7 @@ mod tests {
         // Slice on partkey: the replica with projection (s,c,p) sorts by
         // (p,c,s), so partkey is its leading sort attribute.
         let q = SliceQuery::new(vec![s, c], vec![(p, 1)]);
-        let plan = plan_forest_query(&forest, &cat, &q).unwrap();
+        let plan = plan_generation_query(&forest.pin(), &cat, &q).unwrap();
         let chosen = &forest.placements()[plan.placement].def;
         assert_eq!(
             *chosen.projection.last().unwrap(),
@@ -750,7 +682,7 @@ mod tests {
     fn planner_prefers_small_exact_view() {
         let (_env, cat, forest, [_, _, c]) = setup();
         let q = SliceQuery::new(vec![], vec![(c, 4)]);
-        let plan = plan_forest_query(&forest, &cat, &q).unwrap();
+        let plan = plan_generation_query(&forest.pin(), &cat, &q).unwrap();
         let chosen = &forest.placements()[plan.placement].def;
         assert_eq!(chosen.projection, vec![c], "V{{c}} is the cheapest source");
     }
@@ -760,12 +692,12 @@ mod tests {
         let (env, cat, forest, _) = setup();
         let fact = fact_of(&env);
         let q = SliceQuery::new(vec![], vec![]);
-        let got = execute_forest_query(&forest, &env, &cat, &q).unwrap();
+        let got = execute_query_with_delta(&forest.pin(), None, &env, &cat, &q).unwrap();
         assert_eq!(got.len(), 1);
         let expect: i64 = fact.states.iter().map(|s| s.sum).sum();
         assert_eq!(got[0].agg, expect as f64);
         // And the planner must have used the 1-row none view.
-        let plan = plan_forest_query(&forest, &cat, &q).unwrap();
+        let plan = plan_generation_query(&forest.pin(), &cat, &q).unwrap();
         assert!(forest.placements()[plan.placement].def.projection.is_empty());
     }
 
@@ -788,7 +720,7 @@ mod tests {
                     }
                 }
                 let q = SliceQuery::new(group_by, predicates);
-                let mut got = execute_forest_query(&forest, &env, &cat, &q).unwrap();
+                let mut got = execute_query_with_delta(&forest.pin(), None, &env, &cat, &q).unwrap();
                 got.sort_by(|a, b| a.key.cmp(&b.key));
                 assert_eq!(got, reference(&fact, &q), "query {:?}", q.display(&cat));
             }
@@ -822,7 +754,7 @@ mod tests {
             SliceQuery::new(vec![p], vec![(c, 3)]),
             SliceQuery::new(vec![], vec![(c, 5)]),
         ] {
-            let mut got = execute_forest_query(&forest, &env, &cat, &q).unwrap();
+            let mut got = execute_query_with_delta(&forest.pin(), None, &env, &cat, &q).unwrap();
             got.sort_by(|a, b| a.key.cmp(&b.key));
             assert_eq!(got, reference(&combined, &q), "query {:?}", q.display(&cat));
         }
@@ -833,6 +765,6 @@ mod tests {
         let (_env, mut cat, forest, _) = setup();
         let alien = cat.add_attr("alien", 5);
         let q = SliceQuery::new(vec![alien], vec![]);
-        assert!(plan_forest_query(&forest, &cat, &q).is_err());
+        assert!(plan_generation_query(&forest.pin(), &cat, &q).is_err());
     }
 }

@@ -12,8 +12,8 @@
 //! one *shared scan*: a single leaf pass feeding every query's aggregator.
 
 use crate::forest::Generation;
-use crate::query::{query_region, ForestPlan};
-use ct_common::{Point, Rect, Result, SliceQuery};
+use crate::query::{query_region, Planned};
+use ct_common::{Point, Rect};
 use std::collections::BTreeMap;
 
 /// Scheduling statistics for one executed batch.
@@ -31,9 +31,10 @@ pub struct SchedSummary {
 
 /// One planned query, scheduled into a group.
 pub(crate) struct SchedQuery {
-    /// Position in the caller's batch (results scatter back through it).
+    /// Position in the scheduled share (results scatter back through it).
     pub index: usize,
-    pub plan: ForestPlan,
+    /// The planned placement (index into the generation's placements).
+    pub placement: usize,
     pub region: Rect,
 }
 
@@ -49,18 +50,16 @@ pub(crate) struct TreeGroup {
 /// per-shard scheduling never diverges on view choice.
 pub(crate) fn schedule_planned(
     gen: &Generation,
-    queries: &[SliceQuery],
-    plans: &[ForestPlan],
-) -> Result<(Vec<TreeGroup>, SchedSummary)> {
-    debug_assert_eq!(queries.len(), plans.len());
+    share: &[Planned<'_>],
+) -> (Vec<TreeGroup>, SchedSummary) {
     let mut per_tree: BTreeMap<usize, Vec<SchedQuery>> = BTreeMap::new();
-    for (index, (q, plan)) in queries.iter().zip(plans).enumerate() {
+    for (index, (_, q, plan)) in share.iter().enumerate() {
         let placement = &gen.placements()[plan.placement];
         let region = query_region(&placement.def, gen.tree(placement.tree).dims(), q);
         per_tree
             .entry(placement.tree)
             .or_default()
-            .push(SchedQuery { index, plan: plan.clone(), region });
+            .push(SchedQuery { index, placement: plan.placement, region });
     }
 
     let mut summary = SchedSummary { groups: per_tree.len() as u64, ..Default::default() };
@@ -91,17 +90,25 @@ pub(crate) fn schedule_planned(
         // Shared scans = members that ride a preceding identical scan.
         summary.shared_scans += members
             .windows(2)
-            .filter(|w| w[0].plan.placement == w[1].plan.placement && w[0].region == w[1].region)
+            .filter(|w| w[0].same_scan(&w[1]))
             .count() as u64;
         groups.push(TreeGroup { tree, queries: members });
     }
-    Ok((groups, summary))
+    (groups, summary)
+}
+
+impl SchedQuery {
+    /// True when `other` reads exactly the leaves this query reads, so one
+    /// pass can feed both (a *shared scan*).
+    pub(crate) fn same_scan(&self, other: &SchedQuery) -> bool {
+        self.placement == other.placement && self.region == other.region
+    }
 }
 
 /// First leaf page of the run the planned placement stores its view in
 /// (`u64::MAX` when the view is empty, pushing it to the end of the sweep).
 fn run_start(gen: &Generation, sq: &SchedQuery) -> u64 {
-    let placement = &gen.placements()[sq.plan.placement];
+    let placement = &gen.placements()[sq.placement];
     gen.tree(placement.tree)
         .view_extent(placement.def.id.0)
         .map_or(u64::MAX, |(_, ext)| ext.first_leaf)

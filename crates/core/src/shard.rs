@@ -9,8 +9,10 @@
 //! manifest, MVCC generations, and delta tier. Builds, refreshes, and
 //! compactions run per-shard in parallel on the scoped-worker pool; queries
 //! are routed to the owning shard(s) by pruning on the partition key and the
-//! partial per-shard answers are merged ([`PartialAnswer::absorb`]) before a
-//! single finalization.
+//! partial per-shard answers are merged
+//! ([`crate::query::PartialAnswer::absorb`]) before a single finalization —
+//! the shards are simply the sources of the one read path
+//! (`crate::query::execute_query_batch`).
 //!
 //! Because every aggregate state is mergeable (COUNT/SUM/MIN/MAX compose;
 //! AVG is finalized from SUM+COUNT only after the gather), the merged answer
@@ -21,23 +23,17 @@
 
 use crate::delta::{DeltaConfig, DeltaSnapshot, DeltaStats};
 use crate::engine::{
-    BatchResult, CubetreeConfig, CubetreeEngine, RolapEngine, ServedAnswer, ServingEngine,
-    ViewInfo,
+    query_sources, serve_sources, BatchResult, CubetreeConfig, CubetreeEngine, RolapEngine,
+    ServedAnswer, ServingEngine, ViewInfo,
 };
 use crate::forest::{AnswerStamp, CubetreeForest, ReaderPin};
-use crate::jobs::{run_jobs, Job};
-use crate::query::{
-    execute_planned_query_batch_partial, execute_planned_query_partial,
-    plan_query_with_entries, ForestPlan, PartialAnswer,
-};
-use crate::sched::SchedSummary;
+use crate::jobs::{map_jobs, run_jobs, Job};
+use crate::query::QuerySource;
 use ct_common::query::QueryRow;
 use ct_common::{AttrId, Catalog, CtError, Result, SliceQuery};
 use ct_cube::Relation;
 use ct_storage::{FaultPlan, IoSnapshot};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::Instant;
 
 /// How many partition-column values the skew detector samples when it has
 /// to derive range-split boundaries (deterministic stride sampling).
@@ -442,21 +438,9 @@ impl ShardedEngine {
     /// Merge-packs every shard's resident delta tier, in parallel. Returns
     /// `true` if any shard compacted.
     pub fn compact_delta(&self) -> Result<bool> {
-        let dids: Vec<Mutex<bool>> = self.shards.iter().map(|_| Mutex::new(false)).collect();
-        let jobs: Vec<Job<'_>> = self
-            .shards
-            .iter()
-            .zip(&dids)
-            .map(|(shard, did)| {
-                Box::new(move || {
-                    let d = shard.compact_delta()?;
-                    *did.lock().unwrap_or_else(|p| p.into_inner()) = d;
-                    Ok(())
-                }) as Job<'_>
-            })
-            .collect();
-        run_jobs(self.outer_threads, jobs)?;
-        Ok(dids.iter().any(|d| *d.lock().unwrap_or_else(|p| p.into_inner())))
+        let compacted =
+            map_jobs(self.outer_threads, self.shards.len(), |i| self.shards[i].compact_delta())?;
+        Ok(compacted.contains(&true))
     }
 
     /// Bulk-incremental refresh: the delta is routed on the partition key
@@ -487,16 +471,9 @@ impl ShardedEngine {
         };
         let stamp = intent.as_ref().map(|i| refresh_stamp(i.id));
         let stamp = stamp.as_deref();
-        let jobs: Vec<Job<'_>> = self
-            .shards
-            .iter()
-            .zip(&parts)
-            .filter(|(_, part)| !part.is_empty())
-            .map(|(shard, part)| {
-                Box::new(move || shard.refresh_stamped(part, stamp)) as Job<'_>
-            })
-            .collect();
-        run_jobs(self.outer_threads, jobs)?;
+        map_jobs(self.outer_threads, touched.len(), |k| {
+            self.shards[touched[k]].refresh_stamped(&parts[touched[k]], stamp)
+        })?;
         if let (Some(root), Some(mut intent)) = (&self.root, intent) {
             intent.pending = false;
             write_intent(root, &intent)?;
@@ -541,18 +518,15 @@ impl ShardedEngine {
             .collect();
         if !committed.is_empty() {
             let parts = self.partition(delta)?;
-            let jobs: Vec<Job<'_>> = intent
+            let lagging: Vec<usize> = intent
                 .touched
                 .iter()
-                .filter(|i| !committed.contains(i) && !parts[**i].is_empty())
-                .map(|&i| {
-                    let shard = &self.shards[i];
-                    let part = &parts[i];
-                    let stamp = stamp.as_str();
-                    Box::new(move || shard.refresh_stamped(part, Some(stamp))) as Job<'_>
-                })
+                .copied()
+                .filter(|i| !committed.contains(i) && !parts[*i].is_empty())
                 .collect();
-            run_jobs(self.outer_threads, jobs)?;
+            map_jobs(self.outer_threads, lagging.len(), |k| {
+                self.shards[lagging[k]].refresh_stamped(&parts[lagging[k]], Some(&stamp))
+            })?;
         }
         write_intent(
             root,
@@ -561,9 +535,10 @@ impl ShardedEngine {
     }
 
     /// Pins every shard once (generation + delta snapshot under each
-    /// shard's generation lock). Queries are planned against these pins
-    /// *centrally* — entry counts summed across all shards — and executed
-    /// against them per shard, so one batch sees one consistent cut.
+    /// shard's generation lock), so one batch sees one consistent cut. The
+    /// read path plans against these pins *centrally* — entry counts summed
+    /// across all shards, mirroring what the unsharded forest would see —
+    /// and executes the chosen placement on every consulted shard.
     fn pin_all(&self) -> Result<Vec<(ReaderPin, DeltaSnapshot)>> {
         self.shards
             .iter()
@@ -571,229 +546,52 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Plans `q` once for every shard: the planner's entry counts are the
-    /// sums across all shard pins, mirroring what the unsharded forest
-    /// would see. Per-shard planning is not an option — entry counts
-    /// diverge across shards (and tie on empty ones), different placements
-    /// carry different aggregate functions, and gathered partials must all
-    /// come from one placement to merge coherently.
-    fn plan_across(
-        &self,
-        pins: &[(ReaderPin, DeltaSnapshot)],
-        q: &SliceQuery,
-    ) -> Result<ForestPlan> {
-        plan_query_with_entries(
-            pins[0].0.placements(),
-            |id| pins.iter().map(|(g, _)| g.entries_of(id)).sum(),
-            &self.catalog,
-            q,
-        )
+    /// The read path's sources: every shard's pin beside its environment.
+    fn sources<'a>(&'a self, pins: &'a [(ReaderPin, DeltaSnapshot)]) -> Vec<QuerySource<'a>> {
+        self.shards
+            .iter()
+            .zip(pins)
+            .map(|(shard, (pin, delta))| QuerySource {
+                gen: pin,
+                delta: delta.as_option(),
+                env: shard.env(),
+            })
+            .collect()
     }
 
-    /// Scatter-gather over an explicit shard set: execute partials on each
-    /// target shard's pin, then merge in shard order and finalize once.
-    fn gather_one(&self, q: &SliceQuery, targets: &[usize]) -> Result<Vec<QueryRow>> {
-        let pins = self.pin_all()?;
-        let plan = self.plan_across(&pins, q)?;
-        let slots: Vec<Mutex<Option<PartialAnswer<'_>>>> =
-            targets.iter().map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Job<'_>> = targets
+    /// The shards each query must consult (see [`ShardRouter::shards_for`]),
+    /// recording the fan-out.
+    fn route(&self, queries: &[SliceQuery]) -> Vec<Vec<usize>> {
+        queries
             .iter()
-            .zip(&slots)
-            .map(|(&s, slot)| {
-                let shard = &self.shards[s];
-                let (pin, delta) = &pins[s];
-                let plan = &plan;
-                Box::new(move || {
-                    let part = execute_planned_query_partial(
-                        pin,
-                        delta.as_option(),
-                        shard.env(),
-                        &self.catalog,
-                        q,
-                        plan,
-                    )?;
-                    *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(part);
-                    Ok(())
-                }) as Job<'_>
-            })
-            .collect();
-        run_jobs(self.outer_threads.min(targets.len()), jobs)?;
-        let gather_start = Instant::now();
-        let mut merged: Option<PartialAnswer<'_>> = None;
-        for slot in slots {
-            let part = slot
-                .into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .ok_or_else(|| CtError::invalid("shard worker returned no partial answer"))?;
-            match &mut merged {
-                None => merged = Some(part),
-                Some(m) => m.absorb(part),
-            }
-        }
-        let rows = merged
-            .ok_or_else(|| CtError::invalid("query routed to zero shards"))?
-            .finish();
-        if self.recorder.is_enabled() {
-            self.recorder
-                .observe("shard.gather_us", gather_start.elapsed().as_micros() as u64);
-        }
-        Ok(rows)
-    }
-
-    fn record_fanout(&self, consulted: usize) {
-        if self.recorder.is_enabled() {
-            self.recorder.observe("shard.fanout", consulted as u64);
-            if consulted < self.shards.len() {
-                self.recorder.add("shard.pruned", 1);
-            }
-        }
-    }
-
-    /// The multi-shard batch path behind [`RolapEngine::query_batch`] and
-    /// [`ServingEngine::serve_batch`]: routes every query up front, then
-    /// each owning shard serves its sub-batch under a single MVCC pin,
-    /// reusing the batch scheduler when the shard environment is parallel.
-    /// Plans are computed once, centrally, and shared by every shard (see
-    /// [`Self::plan_across`]). The returned generation stamp is summed over
-    /// the *pinned* per-shard snapshots — the same cut the answers were
-    /// computed from, even if a refresh commits mid-batch.
-    ///
-    /// Alongside the answers, every query gets its cache stamps: one
-    /// [`AnswerStamp`] per consulted shard (from that shard's pin) plus a
-    /// trailing *plan guard* whose generation is the sum over **all**
-    /// pinned shards. Planning scores placements by entry counts summed
-    /// across every shard, so a refresh on a shard a query never touches
-    /// can still flip its chosen placement (and, for pruned queries, its
-    /// answer); the guard makes any refresh anywhere a stamp mismatch,
-    /// while ingests to non-consulted shards — which never affect planning
-    /// — keep the stamps matching so subset hits survive.
-    fn query_batch_stamped(
-        &self,
-        queries: &[SliceQuery],
-    ) -> Result<(u64, BatchResult, Vec<Vec<AnswerStamp>>)> {
-        let mut assign: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut targets_per_q: Vec<Vec<usize>> = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            let targets = self.router.shards_for(q, self.partition_attr);
-            self.record_fanout(targets.len());
-            for &s in &targets {
-                assign[s].push(qi);
-            }
-            targets_per_q.push(targets);
-        }
-        let pins = self.pin_all()?;
-        let stamp: u64 = pins.iter().map(|(pin, _)| pin.number()).sum();
-        let shard_stamps: Vec<AnswerStamp> =
-            pins.iter().map(|(pin, delta)| AnswerStamp::of(pin, delta)).collect();
-        let plan_guard = AnswerStamp { generation: stamp, delta_epoch: 0 };
-        let stamps: Vec<Vec<AnswerStamp>> = targets_per_q
-            .iter()
-            .map(|targets| {
-                targets
-                    .iter()
-                    .map(|&s| shard_stamps[s])
-                    .chain(std::iter::once(plan_guard))
-                    .collect()
-            })
-            .collect();
-        let plans = queries
-            .iter()
-            .map(|q| self.plan_across(&pins, q))
-            .collect::<Result<Vec<_>>>()?;
-        let slots: Vec<Mutex<Option<ShardBatch<'_>>>> =
-            self.shards.iter().map(|_| Mutex::new(None)).collect();
-        let jobs: Vec<Job<'_>> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| !assign[*s].is_empty())
-            .map(|(s, shard)| {
-                let indices = &assign[s];
-                let slot = &slots[s];
-                let (pin, delta) = &pins[s];
-                let plans = &plans;
-                Box::new(move || {
-                    let out = if shard.env().parallelism().is_parallel() && indices.len() > 1 {
-                        let sub: Vec<SliceQuery> =
-                            indices.iter().map(|&i| queries[i].clone()).collect();
-                        let sub_plans: Vec<ForestPlan> =
-                            indices.iter().map(|&i| plans[i].clone()).collect();
-                        let (partials, sched) = execute_planned_query_batch_partial(
-                            pin,
-                            Some(delta),
-                            shard.env(),
-                            &self.catalog,
-                            &sub,
-                            &sub_plans,
-                        )?;
-                        ShardBatch {
-                            partials: indices.iter().copied().zip(partials).collect(),
-                            sched: Some(sched),
-                        }
-                    } else {
-                        let mut partials = Vec::with_capacity(indices.len());
-                        for &qi in indices {
-                            let part = execute_planned_query_partial(
-                                pin,
-                                delta.as_option(),
-                                shard.env(),
-                                &self.catalog,
-                                &queries[qi],
-                                &plans[qi],
-                            )?;
-                            partials.push((qi, part));
-                        }
-                        ShardBatch { partials, sched: None }
-                    };
-                    *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-                    Ok(())
-                }) as Job<'_>
-            })
-            .collect();
-        run_jobs(self.outer_threads, jobs)?;
-        // Gather: merge partials per query in shard order, finalize once.
-        let gather_start = Instant::now();
-        let mut merged: Vec<Option<PartialAnswer<'_>>> =
-            queries.iter().map(|_| None).collect();
-        let mut sched_total: Option<SchedSummary> = None;
-        for slot in slots {
-            let Some(batch) = slot.into_inner().unwrap_or_else(|p| p.into_inner()) else {
-                continue;
-            };
-            if let Some(s) = batch.sched {
-                let t = sched_total.get_or_insert_with(SchedSummary::default);
-                t.groups += s.groups;
-                t.reordered += s.reordered;
-                t.shared_scans += s.shared_scans;
-            }
-            for (qi, part) in batch.partials {
-                match &mut merged[qi] {
-                    None => merged[qi] = Some(part),
-                    Some(m) => m.absorb(part),
+            .map(|q| {
+                let targets = self.router.shards_for(q, self.partition_attr);
+                if self.recorder.is_enabled() {
+                    self.recorder.observe("shard.fanout", targets.len() as u64);
+                    if targets.len() < self.shards.len() {
+                        self.recorder.add("shard.pruned", 1);
+                    }
                 }
-            }
-        }
-        let results = merged
-            .into_iter()
-            .map(|m| {
-                m.map(PartialAnswer::finish)
-                    .ok_or_else(|| CtError::invalid("query routed to zero shards"))
+                targets
             })
-            .collect::<Result<Vec<_>>>()?;
-        if self.recorder.is_enabled() {
-            self.recorder
-                .observe("shard.gather_us", gather_start.elapsed().as_micros() as u64);
-        }
-        Ok((stamp, BatchResult { results, sched: sched_total }, stamps))
+            .collect()
     }
 }
 
-/// Per-shard output of a batched scatter: partial answers tagged with their
-/// position in the caller's query list, plus the shard's scheduler summary.
-struct ShardBatch<'a> {
-    partials: Vec<(usize, PartialAnswer<'a>)>,
-    sched: Option<SchedSummary>,
+/// A sharded answer's cache stamps: one [`AnswerStamp`] per consulted shard
+/// plus a trailing *plan guard* whose generation is the sum over **all**
+/// shards. Planning scores placements by entry counts summed across every
+/// shard, so a refresh on a shard a query never touches can still flip its
+/// chosen placement (and, for pruned queries, its answer); the guard makes
+/// any refresh anywhere a stamp mismatch, while ingests to non-consulted
+/// shards — which never affect planning — keep the stamps matching so
+/// subset hits survive.
+fn stamps_for(shard_stamps: &[AnswerStamp], targets: &[usize]) -> Vec<AnswerStamp> {
+    let guard = AnswerStamp {
+        generation: shard_stamps.iter().map(|s| s.generation).sum(),
+        delta_epoch: 0,
+    };
+    targets.iter().map(|&s| shard_stamps[s]).chain(std::iter::once(guard)).collect()
 }
 
 fn shard_forest(shard: &CubetreeEngine) -> Result<&CubetreeForest> {
@@ -836,21 +634,17 @@ impl RolapEngine for ShardedEngine {
     }
 
     fn query(&self, q: &SliceQuery) -> Result<Vec<QueryRow>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].query(q);
-        }
-        let targets = self.router.shards_for(q, self.partition_attr);
-        self.record_fanout(targets.len());
-        self.gather_one(q, &targets)
+        let mut batch = self.query_batch(std::slice::from_ref(q))?;
+        batch.results.pop().ok_or_else(|| CtError::invalid("batch of one left no answer"))
     }
 
+    /// Routes every query up front, pins every shard once, then each owning
+    /// shard runs its share of the batch under that pin.
     fn query_batch(&self, queries: &[SliceQuery]) -> Result<BatchResult> {
-        // One shard is the unsharded engine: delegate so behavior (and the
-        // per-query I/O profile) is bit-identical to the baseline.
-        if self.shards.len() == 1 {
-            return self.shards[0].query_batch(queries);
-        }
-        Ok(self.query_batch_stamped(queries)?.1)
+        let pins = self.pin_all()?;
+        let targets = self.route(queries);
+        let consults = |query: usize, shard: usize| targets[query].contains(&shard);
+        query_sources(&self.sources(&pins), consults, self.outer_threads, &self.catalog, queries)
     }
 
     fn update(&mut self, delta: &Relation) -> Result<()> {
@@ -914,75 +708,44 @@ impl ServingEngine for ShardedEngine {
         Ok((ShardedEngine::generation(self), views.unwrap_or_default()))
     }
 
-    /// The scatter-gather batch path under one pin *per shard*: every
-    /// shard's sub-batch answers from a single snapshot, and `run_jobs`
-    /// already converts per-shard panics into errors, so a poisoned batch
-    /// reports instead of unwinding into the server's batcher thread. Batch
-    /// failures are whole-batch (matching the unsharded scheduled path).
-    /// The generation stamp is summed from the per-shard pins the batch
-    /// executed under — never from a separate pre-execution read, so a
-    /// refresh committing between stamp and execution cannot mislabel the
-    /// snapshot (the unsharded engine stamps from its pin the same way).
+    /// [`RolapEngine::query_batch`] with freshness stamps. The generation
+    /// stamp is summed from the per-shard pins the batch executed under —
+    /// never from a separate pre-execution read, so a refresh committing
+    /// between stamp and execution cannot mislabel the snapshot (the
+    /// unsharded engine stamps from its pin the same way).
     fn serve_batch(
         &self,
         queries: &[SliceQuery],
     ) -> (u64, Vec<std::result::Result<ServedAnswer, String>>) {
-        // One shard is the unsharded engine: its serve_batch stamps from
-        // the single pin it executes under.
-        if self.shards.len() == 1 {
-            return self.shards[0].serve_batch(queries);
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.query_batch_stamped(queries)
-        }));
-        match outcome {
-            Ok(Ok((stamp, out, stamps))) => (
-                stamp,
-                out.results
-                    .into_iter()
-                    .zip(stamps)
-                    .map(|(rows, stamps)| Ok(ServedAnswer { rows, stamps }))
-                    .collect(),
-            ),
-            Ok(Err(e)) => {
-                let msg = format!("batch execution failed: {e}");
-                (ShardedEngine::generation(self), queries.iter().map(|_| Err(msg.clone())).collect())
-            }
-            Err(_) => {
-                let msg = "batch execution panicked".to_string();
-                (ShardedEngine::generation(self), queries.iter().map(|_| Err(msg.clone())).collect())
-            }
-        }
+        let Ok(pins) = self.pin_all() else {
+            return (0, queries.iter().map(|_| Err("engine not loaded".to_string())).collect());
+        };
+        let targets = self.route(queries);
+        let shard_stamps: Vec<AnswerStamp> =
+            pins.iter().map(|(pin, delta)| AnswerStamp::of(pin, delta)).collect();
+        let answers = serve_sources(
+            &self.sources(&pins),
+            |query, shard| targets[query].contains(&shard),
+            self.outer_threads,
+            &self.catalog,
+            queries,
+            |query| stamps_for(&shard_stamps, &targets[query]),
+        );
+        (shard_stamps.iter().map(|s| s.generation).sum(), answers)
     }
 
-    /// The sharded probe: one stamp per shard the router would consult for
-    /// `q`, plus the plan guard (see `query_batch_stamped` for why
-    /// the guard exists). Stamp reads are per-shard, matching the
-    /// consistency of `pin_all` — the scatter-gather path itself pins
-    /// shards one at a time, so a probe-time match proves equivalence to a
-    /// fresh scatter-gather execution, which is the bar serving answers
-    /// already meet.
+    /// The sharded probe: the stamps a fresh [`ServingEngine::serve_batch`]
+    /// of `q` would carry right now (see `stamps_for`). Stamp reads are
+    /// per-shard, matching the consistency of `pin_all` — the read path
+    /// itself pins shards one at a time, so a probe-time match proves
+    /// equivalence to a fresh scatter-gather execution, which is the bar
+    /// serving answers already meet.
     fn answer_stamps(&self, q: &SliceQuery) -> Vec<AnswerStamp> {
-        if self.shards.len() == 1 {
-            return ServingEngine::answer_stamps(&self.shards[0], q);
-        }
-        let mut shard_stamps = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            match s.forest() {
-                Some(f) => shard_stamps.push(f.answer_stamp()),
-                None => return Vec::new(),
-            }
-        }
-        let guard = AnswerStamp {
-            generation: shard_stamps.iter().map(|s| s.generation).sum(),
-            delta_epoch: 0,
-        };
-        self.router
-            .shards_for(q, self.partition_attr)
-            .into_iter()
-            .map(|s| shard_stamps[s])
-            .chain(std::iter::once(guard))
-            .collect()
+        let shard_stamps: Option<Vec<AnswerStamp>> =
+            self.shards.iter().map(|s| Some(s.forest()?.answer_stamp())).collect();
+        shard_stamps.map_or_else(Vec::new, |stamps| {
+            stamps_for(&stamps, &self.router.shards_for(q, self.partition_attr))
+        })
     }
 
     fn refresh(&self, delta: &Relation) -> Result<()> {

@@ -4,7 +4,7 @@
 //! drains the queue into batches — flushing when either `max_batch` queries
 //! have accumulated or the oldest waiter has been queued for `max_delay` —
 //! and executes each batch against **one pinned generation** through the
-//! engine's batched scheduler ([`cubetree::query::execute_generation_query_batch`]).
+//! engine's one read path ([`ServingEngine::serve_batch`]).
 //! Under concurrency this turns N point dispatches into one scheduled sweep
 //! (packed-order sorting, shared scans, readahead), so the server reads
 //! *fewer* pages per query as load rises. When the queue is already
@@ -248,9 +248,12 @@ fn batcher(
 /// straight from the memoized rows (no planning, no pin, no page I/O) and
 /// only the misses are dispatched as a (smaller) batch; admitted misses
 /// populate the cache with the stamps their answers were computed under.
-/// A hit's reported generation is read at probe time — the stamp match
-/// proves the visible state equals the one the rows were computed from, so
-/// the current generation is the correct label.
+/// A hit is labelled with the generation of the stamps that matched — the
+/// match proves the visible state equals the one the rows were computed
+/// from, and the last stamp carries the engine-wide generation (the
+/// unsharded engine's only stamp, the sharded engine's plan guard); reading
+/// `engine.generation()` again could race a refresh and mislabel the rows.
+/// Without a cache every probe misses and nothing populates.
 ///
 /// Execution is panic-isolated by the engine: a panicking query (or batch)
 /// is answered as an error to its waiters instead of killing the batcher
@@ -259,39 +262,33 @@ fn batcher(
 /// gauge would freeze above zero and every later submit would see spurious
 /// 429s.
 fn execute(engine: &dyn ServingEngine, cache: Option<&AnswerCache>, batch: Vec<Pending>) {
-    let Some(cache) = cache else {
-        let queries: Vec<SliceQuery> = batch.iter().map(|p| p.query.clone()).collect();
-        let (generation, answers) = engine.serve_batch(&queries);
-        for (p, answer) in batch.into_iter().zip(answers) {
-            let _ = p
-                .reply
-                .send(answer.map(|served| QueryAnswer { generation, rows: served.rows }));
-        }
-        return;
-    };
-    // Probe phase: answer hits immediately, collect misses (with their
-    // already-computed cache keys and admission verdicts) for dispatch.
-    let mut misses: Vec<(Pending, ct_common::QueryKey, bool)> = Vec::new();
+    // Probe phase: answer hits immediately, collect misses for dispatch,
+    // each beside the cache and key to populate if the probe admitted it.
+    let mut misses: Vec<(Pending, Option<(&AnswerCache, ct_common::QueryKey)>)> = Vec::new();
     for p in batch {
+        let Some(cache) = cache else {
+            misses.push((p, None));
+            continue;
+        };
         let key = p.query.cache_key();
         let stamps = engine.answer_stamps(&p.query);
         match cache.probe(&key, &stamps) {
             Probe::Hit(rows) => {
-                let answer =
-                    QueryAnswer { generation: engine.generation(), rows: (*rows).clone() };
-                let _ = p.reply.send(Ok(answer));
+                let generation =
+                    stamps.last().map_or_else(|| engine.generation(), |s| s.generation);
+                let _ = p.reply.send(Ok(QueryAnswer { generation, rows: (*rows).clone() }));
             }
-            Probe::Miss { admit } => misses.push((p, key, admit)),
+            Probe::Miss { admit } => misses.push((p, admit.then_some((cache, key)))),
         }
     }
     if misses.is_empty() {
         return;
     }
-    let queries: Vec<SliceQuery> = misses.iter().map(|(p, _, _)| p.query.clone()).collect();
+    let queries: Vec<SliceQuery> = misses.iter().map(|(p, _)| p.query.clone()).collect();
     let (generation, answers) = engine.serve_batch(&queries);
-    for ((p, key, admit), answer) in misses.into_iter().zip(answers) {
+    for ((p, populate), answer) in misses.into_iter().zip(answers) {
         let _ = p.reply.send(answer.map(|served| {
-            if admit && !served.stamps.is_empty() {
+            if let Some((cache, key)) = populate.filter(|_| !served.stamps.is_empty()) {
                 cache.populate(key, served.stamps, Arc::new(served.rows.clone()));
             }
             QueryAnswer { generation, rows: served.rows }

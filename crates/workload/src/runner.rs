@@ -11,7 +11,7 @@ use ct_common::query::QueryRow;
 use ct_common::stats::percentile_nearest_rank;
 use ct_common::{CtError, Result, SliceQuery};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
-use cubetree::query::execute_generation_query;
+use cubetree::query::execute_query_with_delta;
 use cubetree::SchedSummary;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -221,7 +221,7 @@ fn probe_checksum(
 ) -> Result<u64> {
     let mut sum = 0u64;
     for q in probes {
-        let mut rows = execute_generation_query(gen, engine.env(), engine.catalog(), q)?;
+        let mut rows = execute_query_with_delta(gen, None, engine.env(), engine.catalog(), q)?;
         rows.sort_by(|a, b| a.key.cmp(&b.key));
         sum = sum.wrapping_add(checksum_rows(&rows));
     }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example star_schema_views`
 
-use cubetrees_repro::core::query::execute_forest_query;
+use cubetrees_repro::core::query::execute_query_with_delta;
 use cubetrees_repro::core::{select_mapping, CubetreeForest};
 use cubetrees_repro::rtree::LeafFormat;
 use cubetrees_repro::storage::StorageEnv;
@@ -93,7 +93,7 @@ fn run(
     catalog: &cubetrees_repro::Catalog,
     q: SliceQuery,
 ) -> Vec<(u64, f64)> {
-    let mut rows = execute_forest_query(forest, env, catalog, &q).unwrap();
+    let mut rows = execute_query_with_delta(&forest.pin(), None, env, catalog, &q).unwrap();
     rows.sort_by(|x, y| x.key.cmp(&y.key));
     rows.into_iter().map(|r| (r.key.first().copied().unwrap_or(0), r.agg)).collect()
 }

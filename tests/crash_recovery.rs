@@ -10,7 +10,7 @@
 //! surviving file set must be bit-identical to one of the two snapshots.
 
 use cubetrees_repro::common::{AggFn, CostModel, CtError, SliceQuery};
-use cubetrees_repro::core::query::{execute_forest_query, execute_generation_query};
+use cubetrees_repro::core::query::execute_query_with_delta;
 use cubetrees_repro::core::CubetreeForest;
 use cubetrees_repro::obs::Recorder;
 use cubetrees_repro::rtree::LeafFormat;
@@ -114,9 +114,9 @@ impl Fixture {
             let forest =
                 CubetreeForest::build(&env, &cat, &fact, &views, &[], LeafFormat::Compressed)
                     .expect("build");
-            let rows =
-                execute_forest_query(&forest, &env, &cat, &SliceQuery::new(vec![], vec![]))
-                    .expect("pre-update scalar");
+            let scalar = SliceQuery::new(vec![], vec![]);
+            let rows = execute_query_with_delta(&forest.pin(), None, &env, &cat, &scalar)
+                .expect("pre-update scalar");
             env.pool().flush_all().unwrap();
             rows[0].agg
         };
@@ -161,8 +161,9 @@ impl Fixture {
             // However the update ended, the pinned reader completes on its
             // generation — pre-update answer, no panic. Its files cannot
             // have been reclaimed while the pin is held.
-            let rows = execute_generation_query(
+            let rows = execute_query_with_delta(
                 &pin,
+                None,
                 &env,
                 &self.cat,
                 &SliceQuery::new(vec![], vec![]),
@@ -180,8 +181,9 @@ impl Fixture {
         let (env, _recovery) = open_env(&self.scratch, FaultPlan::none());
         let forest = CubetreeForest::open(&env, &self.views, &[], LeafFormat::Compressed)
             .expect("recovered forest reopens");
-        let rows = execute_forest_query(
-            &forest,
+        let rows = execute_query_with_delta(
+            &forest.pin(),
+            None,
             &env,
             &self.cat,
             &SliceQuery::new(vec![], vec![]),
@@ -252,7 +254,7 @@ fn pinned_reader_defers_reclamation_past_a_committed_swap() {
     // that keeps its files alive — and it still answers from them.
     assert!(old_paths.iter().all(|p| p.exists()), "pins defer reclamation");
     let rows =
-        execute_generation_query(&pin, &env, &fx.cat, &SliceQuery::new(vec![], vec![]))
+        execute_query_with_delta(&pin, None, &env, &fx.cat, &SliceQuery::new(vec![], vec![]))
             .unwrap();
     assert_eq!(rows[0].agg, fx.pre_scalar);
     drop(pin);

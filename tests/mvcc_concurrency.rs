@@ -13,7 +13,7 @@
 //!   after the last pinned reader drops.
 
 use cubetrees_repro::common::query::QueryRow;
-use cubetrees_repro::core::query::execute_generation_query;
+use cubetrees_repro::core::query::execute_query_with_delta;
 use cubetrees_repro::{
     AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef,
 };
@@ -127,7 +127,7 @@ fn readers_always_match_exactly_one_committed_generation() {
                     assert!(g <= UPDATE_CYCLES, "generation beyond the committed set");
                     for (i, q) in qs.iter().enumerate() {
                         let got = normalize(
-                            execute_generation_query(&pin, engine.env(), &cat, q).unwrap(),
+                            execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap(),
                         );
                         assert_eq!(
                             got, expected[g][i],
@@ -159,7 +159,7 @@ fn readers_always_match_exactly_one_committed_generation() {
     let pin = forest.pin();
     for (i, q) in qs.iter().enumerate() {
         let got =
-            normalize(execute_generation_query(&pin, engine.env(), &cat, q).unwrap());
+            normalize(execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap());
         assert_eq!(got, expected[UPDATE_CYCLES][i], "final probe {i}");
     }
 }
@@ -199,7 +199,7 @@ fn batch_pinned_before_update_finishes_on_pre_update_answers() {
         // every answer must be the pre-update one.
         for (i, q) in qs.iter().enumerate() {
             let got =
-                normalize(execute_generation_query(&pin, engine.env(), &cat, q).unwrap());
+                normalize(execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap());
             assert_eq!(got, pre[i], "pinned probe {i} must see pre-update answers");
         }
         writer.join().unwrap();
@@ -210,7 +210,7 @@ fn batch_pinned_before_update_finishes_on_pre_update_answers() {
     assert_eq!(forest.generation_number(), 1);
     assert_eq!(pin.number(), 0);
     for (i, q) in qs.iter().enumerate() {
-        let got = normalize(execute_generation_query(&pin, engine.env(), &cat, q).unwrap());
+        let got = normalize(execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap());
         assert_eq!(got, pre[i], "post-commit pinned probe {i}");
     }
     assert!(old_paths.iter().all(|p| p.exists()), "pins defer reclamation");

@@ -192,8 +192,14 @@ fn figures_6_and_7_nine_view_mapping() {
 
     // Q: total quantity for brand 2, grouped by month — answerable from V3.
     let q = SliceQuery::new(vec![month], vec![(brand, 2)]);
-    let mut rows =
-        cubetrees_repro::core::query::execute_forest_query(&forest, &env, &catalog, &q).unwrap();
+    let mut rows = cubetrees_repro::core::query::execute_query_with_delta(
+        &forest.pin(),
+        None,
+        &env,
+        &catalog,
+        &q,
+    )
+    .unwrap();
     rows.sort_by(|a, b| a.key.cmp(&b.key));
     // Reference from the raw fact.
     let mut expect: std::collections::BTreeMap<u64, i64> = std::collections::BTreeMap::new();

@@ -285,9 +285,12 @@ fn overload_returns_429_with_retry_after() {
     let mut config = ServerConfig::default();
     // Depth 2 and a long forming window: accepted queries stay queued while
     // the batch forms, so concurrent submits past the bound are refused.
+    // Idle-flush must be off — it would drain each submit immediately and
+    // the queue would fill only when the six clients happen to collide.
     config.admission.max_depth = 2;
     config.admission.max_batch = 64;
     config.admission.max_delay = Duration::from_millis(400);
+    config.admission.flush_on_idle = false;
     config.admission.retry_after_secs = 3;
     let server = CtServer::start(engine.clone(), config).unwrap();
     let addr = server.addr().to_string();

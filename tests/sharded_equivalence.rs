@@ -12,10 +12,14 @@
 //!   still agree with the fan-out path.
 //!
 //! Directed cases pin each class; a proptest sweeps random facts, queries
-//! and shard counts in {1, 2, 3, 4}.
+//! and shard counts in {1, 2, 3, 4}. Both engines run the same read path, so
+//! its degenerate inputs — one shard, a batch of one, `threads = 1`, an
+//! empty delta tier — are pinned here too, as more inputs to the same
+//! comparison.
 
 use cubetrees_repro::common::query::{normalize_rows, QueryRow};
 use cubetrees_repro::common::AttrId;
+use cubetrees_repro::core::ServingEngine;
 use cubetrees_repro::{
     AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, ShardSpec,
     ShardedConfig, ShardedEngine, SliceQuery, ViewDef,
@@ -56,7 +60,12 @@ fn lcg_fact(p: AttrId, s: AttrId, c: AttrId, rows: usize, mut x: u64) -> Relatio
 }
 
 fn unsharded(cat: &Catalog, fact: &Relation, vs: &[ViewDef]) -> CubetreeEngine {
-    let mut e = CubetreeEngine::new(cat.clone(), CubetreeConfig::new(vs.to_vec())).unwrap();
+    unsharded_at(cat, fact, vs, 1)
+}
+
+fn unsharded_at(cat: &Catalog, fact: &Relation, vs: &[ViewDef], threads: usize) -> CubetreeEngine {
+    let config = CubetreeConfig::new(vs.to_vec()).with_threads(threads);
+    let mut e = CubetreeEngine::new(cat.clone(), config).unwrap();
     e.load(fact).unwrap();
     e
 }
@@ -68,13 +77,52 @@ fn sharded(
     p: AttrId,
     shards: usize,
 ) -> ShardedEngine {
+    sharded_at(cat, fact, vs, p, shards, 2)
+}
+
+fn sharded_at(
+    cat: &Catalog,
+    fact: &Relation,
+    vs: &[ViewDef],
+    p: AttrId,
+    shards: usize,
+    threads: usize,
+) -> ShardedEngine {
     let config = ShardedConfig::new(
-        CubetreeConfig::new(vs.to_vec()).with_threads(2),
+        CubetreeConfig::new(vs.to_vec()).with_threads(threads),
         ShardSpec::new(shards).with_partition_attr(p),
     );
     let mut e = ShardedEngine::new(cat.clone(), config).unwrap();
     e.load(fact).unwrap();
     e
+}
+
+/// Both faces of a Cubetree engine, so one loop drives either kind.
+trait Engine: RolapEngine + ServingEngine {}
+impl<T: RolapEngine + ServingEngine> Engine for T {}
+
+/// The unsharded engine and the sharded one at 1 and 3 shards, each at
+/// `threads` 1 (in-order execution) and 4 (the batch scheduler).
+fn engine_matrix(
+    cat: &Catalog,
+    fact: &Relation,
+    vs: &[ViewDef],
+    p: AttrId,
+) -> Vec<(String, Box<dyn Engine>)> {
+    let mut engines: Vec<(String, Box<dyn Engine>)> = Vec::new();
+    for threads in [1usize, 4] {
+        engines.push((
+            format!("unsharded threads={threads}"),
+            Box::new(unsharded_at(cat, fact, vs, threads)),
+        ));
+        for shards in [1usize, 3] {
+            engines.push((
+                format!("shards={shards} threads={threads}"),
+                Box::new(sharded_at(cat, fact, vs, p, shards, threads)),
+            ));
+        }
+    }
+    engines
 }
 
 /// Every query class the routing layer distinguishes.
@@ -182,6 +230,98 @@ fn single_shard_pruning_routes_without_changing_answers() {
             "p = {key}"
         );
     }
+}
+
+/// The degenerate inputs of the one read path: batches of {1, 2, 33} ×
+/// threads {1, 4} × delta {empty, resident} × {unsharded, 1 shard, 3
+/// shards}. Every `query_batch` and `serve_batch` answer equals `query()`
+/// asked one by one of the unsharded sequential engine in the same state.
+#[test]
+fn degenerate_batches_answer_like_query_one_by_one() {
+    let (cat, p, s, c) = catalog();
+    let vs = views(p, s, c);
+    let fact = lcg_fact(p, s, c, 3000, 0xC0FFEE);
+    // 33 queries: the classes cycled, so duplicates share scans when the
+    // scheduler runs and 33 overflows the admission batch of 32.
+    let queries: Vec<SliceQuery> =
+        query_classes(p, s, c).into_iter().cycle().take(33).collect();
+    let engines = engine_matrix(&cat, &fact, &vs, p);
+    for resident_delta in [false, true] {
+        if resident_delta {
+            let rows = lcg_fact(p, s, c, 200, 0xD31A);
+            for (_, e) in &engines {
+                assert_eq!(e.ingest(&rows).unwrap(), 200);
+            }
+        }
+        let expected = answers(&*engines[0].1, &queries);
+        for (name, e) in &engines {
+            let name = format!("{name} resident_delta={resident_delta}");
+            assert_eq!(answers(&**e, &queries), expected, "{name}: query()");
+            for size in [1usize, 2, 33] {
+                let batch = e.query_batch(&queries[..size]).unwrap();
+                let got: Vec<_> = batch.results.into_iter().map(normalize_rows).collect();
+                assert_eq!(got, expected[..size], "{name}: query_batch of {size}");
+                let (_, served) = e.serve_batch(&queries[..size]);
+                let got: Vec<_> =
+                    served.into_iter().map(|a| normalize_rows(a.unwrap().rows)).collect();
+                assert_eq!(got, expected[..size], "{name}: serve_batch of {size}");
+            }
+        }
+    }
+}
+
+/// A query no view can answer fails alone, whatever executes the batch: its
+/// neighbours are served, at `threads = 1` and under the batch scheduler,
+/// unsharded and sharded alike. (`query_batch` is all-or-nothing by contract.)
+#[test]
+fn an_unplannable_query_fails_alone_in_a_served_batch() {
+    let (mut cat, p, s, c) = catalog();
+    let alien = cat.add_attr("alien", 3);
+    let vs = views(p, s, c);
+    let fact = lcg_fact(p, s, c, 1500, 0xBEEF);
+    let batch = [
+        SliceQuery::new(vec![s], vec![(p, 3)]),
+        SliceQuery::new(vec![alien], vec![]),
+        SliceQuery::new(vec![c], vec![]),
+    ];
+    for (name, e) in engine_matrix(&cat, &fact, &vs, p) {
+        let (_, served) = e.serve_batch(&batch);
+        assert_eq!(served.len(), 3, "{name}");
+        for i in [0, 2] {
+            let rows = served[i].as_ref().unwrap_or_else(|e| panic!("{name}: query {i}: {e}"));
+            assert_eq!(
+                normalize_rows(rows.rows.clone()),
+                normalize_rows(e.query(&batch[i]).unwrap()),
+                "{name}: query {i}"
+            );
+        }
+        let err = served[1].as_ref().expect_err("the underivable query must fail");
+        assert!(err.contains("no materialized view"), "{name}: {err}");
+        assert!(e.query_batch(&batch).is_err(), "{name}: query_batch is all-or-nothing");
+    }
+}
+
+/// One shard is no special case in the code, so nothing guarantees by
+/// construction that it costs what the unsharded engine costs: pin it. At
+/// `threads = 1` the same query loop must leave an identical `IoSnapshot`.
+#[test]
+fn one_shard_reads_exactly_the_pages_of_the_unsharded_engine() {
+    let (cat, p, s, c) = catalog();
+    let vs = views(p, s, c);
+    let fact = lcg_fact(p, s, c, 3000, 0xC0FFEE);
+    let queries = query_classes(p, s, c);
+    let plain = unsharded_at(&cat, &fact, &vs, 1);
+    let one = sharded_at(&cat, &fact, &vs, p, 1, 1);
+    assert_eq!(plain.env().snapshot(), one.io_snapshot(), "twin loads must match");
+    for q in &queries {
+        plain.query(q).unwrap();
+        one.query(q).unwrap();
+    }
+    plain.query_batch(&queries).unwrap();
+    one.query_batch(&queries).unwrap();
+    plain.serve_batch(&queries);
+    one.serve_batch(&queries);
+    assert_eq!(plain.env().snapshot(), one.io_snapshot());
 }
 
 proptest! {
