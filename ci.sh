@@ -90,3 +90,8 @@ cargo run -q --release --offline -p ct-bench --bin bench_cache -- \
 # exits non-zero on a wrong answer, a failed request, or if the ladder's page
 # counts diverge between serve_batch(&[q]) and the direct plan/execute rungs.
 benchmark/run.sh --quick --workload serve_uniform_cold > /dev/null
+# Benchmark smoke with writes beside the reads: the only workload that keeps
+# a resident delta under concurrent queries, stamp invalidation and
+# merge-packs; exits non-zero on a wrong answer, a refused ingest or a tier
+# that is not empty after the drain.
+benchmark/run.sh --quick --workload serve_ingest_mix > /dev/null

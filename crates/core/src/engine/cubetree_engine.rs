@@ -170,7 +170,7 @@ impl CubetreeEngine {
     }
 
     /// Merge-packs the resident delta tier into the next forest generation
-    /// (the paper's Figure 15 refresh, fed from the memtables instead of an
+    /// (the paper's Figure 15 refresh, fed from the delta runs instead of an
     /// external batch). Returns `false` when nothing was resident.
     pub fn compact_delta(&self) -> Result<bool> {
         let forest = self.forest_ref()?;

@@ -596,9 +596,11 @@ impl CubetreeForest {
 
     /// Pins the current generation *and* snapshots the resident delta in
     /// one atomic step: both are taken under the generation lock, and a
-    /// compaction removes memtables under that same lock at its flip point,
-    /// so the pair sees every ingested row exactly once — in the delta
-    /// before the flip, in the trees after, never both or neither.
+    /// compaction removes runs under that same lock at its flip point, so
+    /// the pair sees every ingested row exactly once — in the delta before
+    /// the flip, in the trees after, never both or neither. The lock is held
+    /// for two `Arc` clones — the generation and the run list — whatever the
+    /// number of resident rows.
     pub fn pin_with_delta(&self) -> (ReaderPin, DeltaSnapshot) {
         let (gen, snap) = {
             let cur = self.current.lock();
@@ -617,7 +619,8 @@ impl CubetreeForest {
     /// generation number and delta epoch taken together under the generation
     /// lock, the same consistent cut [`CubetreeForest::pin_with_delta`]
     /// takes. Used by the serving-layer answer cache to probe without
-    /// paying for a pin.
+    /// paying for a pin. The epoch is an atomic read, so a probe never
+    /// queues behind an ingest.
     pub fn answer_stamp(&self) -> AnswerStamp {
         let cur = self.current.lock();
         AnswerStamp { generation: cur.number, delta_epoch: self.delta.epoch() }
@@ -684,14 +687,14 @@ impl CubetreeForest {
     }
 
     /// Compacts the resident delta tier into the forest: seals the active
-    /// memtable, folds every sealed memtable into one fact relation, and
+    /// runs, merges every sealed run into one fact relation, and
     /// merge-packs it exactly like [`CubetreeForest::update`]. The sealed
-    /// memtables are removed at the generation flip, under the generation
+    /// runs are removed at the generation flip, under the generation
     /// lock, so readers switch from delta-merged answers to tree answers
     /// atomically. Returns `false` (without packing) when nothing is
     /// resident.
     ///
-    /// On error the memtables stay resident and visible; a later compaction
+    /// On error the runs stay resident and visible; a later compaction
     /// retries them.
     pub fn compact_delta(&self, env: &StorageEnv, catalog: &Catalog) -> Result<bool> {
         let _writer = self.writer.lock();
@@ -704,7 +707,7 @@ impl CubetreeForest {
 
     /// The merge-pack body shared by [`CubetreeForest::update`] and
     /// [`CubetreeForest::compact_delta`]. Caller holds the writer lock.
-    /// `compacted` lists delta-tier memtables whose rows `delta_fact`
+    /// `compacted` lists delta-tier runs whose rows `delta_fact`
     /// carries; they are removed atomically with the publish.
     fn update_locked(
         &self,
@@ -831,7 +834,7 @@ impl CubetreeForest {
             let mut cur = self.current.lock();
             *cur = next;
             // Same critical section as the swap: a pin_with_delta either
-            // sees (base, delta incl. these memtables) or (next, delta
+            // sees (base, delta incl. these runs) or (next, delta
             // excl. them) — compacted rows are never double-counted or
             // momentarily invisible.
             if !compacted.is_empty() {

@@ -126,6 +126,19 @@ impl<'a> RollupAggregator<'a> {
         self.accepted
     }
 
+    /// The `(source column, lo, hi)` range every accepted row's key lies in,
+    /// for each equality or range predicate placed *directly* on a source
+    /// column (no hierarchy step between the column and the predicate's
+    /// attribute). An indexed source may use them to offer fewer rows.
+    pub fn direct_bounds(&self) -> Vec<(usize, u64, u64)> {
+        let direct = |(col, path): &Resolver<'_>, lo: u64, hi: u64| {
+            path.is_empty().then_some((*col, lo, hi))
+        };
+        let equalities = self.pred_resolvers.iter().filter_map(|(r, v)| direct(r, *v, *v));
+        let ranges = self.range_resolvers.iter().filter_map(|(r, lo, hi)| direct(r, *lo, *hi));
+        equalities.chain(ranges).collect()
+    }
+
     /// Merges another aggregator's groups into this one. Both must have
     /// been created for the *same query* (their group keys are then in the
     /// same `group_by` order); the sources may differ — this is how a tree
@@ -265,21 +278,21 @@ pub(crate) fn query_region(def: &ViewDef, dims: usize, q: &SliceQuery) -> Rect {
     Rect::new(&lo, &hi)
 }
 
-/// Feeds the resident delta snapshot through a fresh aggregator for `q`.
-/// The delta rows are fact-grained (keyed by the full fact schema), so any
-/// query answerable from a materialized view is answerable from them too —
-/// the aggregator re-applies predicates and hierarchy rollups, and the
-/// result absorbs into a tree-scan aggregator for the same query.
+/// Folds the resident delta snapshot into a fresh aggregator for `q`, and
+/// returns it with the number of rows the snapshot offered. The delta rows
+/// are fact-grained (keyed by the full fact schema), so any query answerable
+/// from a materialized view is answerable from them too. The snapshot offers
+/// only the rows `q`'s direct predicates select (see [`DeltaSnapshot::scan`]);
+/// the aggregator re-applies every predicate and the hierarchy rollups, and
+/// the result absorbs into a tree-scan aggregator for the same query.
 fn delta_aggregator<'a>(
     delta: &DeltaSnapshot,
     catalog: &'a Catalog,
     q: &SliceQuery,
-) -> Result<RollupAggregator<'a>> {
+) -> Result<(RollupAggregator<'a>, u64)> {
     let mut agg = RollupAggregator::new(catalog, delta.attrs(), q)?;
-    for (key, state) in delta.rows() {
-        agg.accept(key, state);
-    }
-    Ok(agg)
+    let scanned = delta.scan(&agg.direct_bounds(), |key, state| agg.accept(key, state));
+    Ok((agg, scanned))
 }
 
 /// One place a batch reads from: a pinned generation, the resident-delta
@@ -364,10 +377,12 @@ fn scan<'a>(
             recorder.add(&format!("core.query.by_view.v{want}"), 1);
         }
         if let Some(d) = delta {
-            agg.absorb(delta_aggregator(d, catalog, q)?);
+            let (folded, scanned) = delta_aggregator(d, catalog, q)?;
+            agg.absorb(folded);
             if recorder.is_enabled() {
                 recorder.add("core.query.delta_merged", 1);
                 recorder.observe("core.query.delta_rows", d.groups());
+                recorder.observe("core.query.delta_rows_scanned", scanned);
             }
         }
     }

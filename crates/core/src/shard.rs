@@ -324,7 +324,7 @@ impl ShardedEngine {
         t
     }
 
-    /// Resident-delta accounting summed across shard memtables (`None`
+    /// Resident-delta accounting summed across the shards' delta tiers (`None`
     /// before load). `oldest` is the oldest resident row anywhere.
     pub fn delta_stats(&self) -> Option<DeltaStats> {
         let mut out: Option<DeltaStats> = None;

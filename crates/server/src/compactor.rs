@@ -4,9 +4,9 @@
 //! module's [`Compactor`] thread watches the tier's size/age against
 //! [`IngestConfig`] thresholds and triggers the forest's merge-pack
 //! ([`ServingEngine::compact_delta`]) when any is exceeded. Ingestion
-//! never stalls behind a compaction — the tier rotates the active memtable
-//! to an immutable tier and keeps absorbing — and a failed compaction
-//! leaves the memtables resident (still answering queries) for the next
+//! never stalls behind a compaction — the tier seals its active runs and
+//! keeps absorbing into fresh ones — and a failed compaction
+//! leaves the sealed runs resident (still answering queries) for the next
 //! attempt. On shutdown the compactor drains: one final merge-pack moves
 //! everything resident into the packed trees before the thread exits, so a
 //! clean shutdown loses no acknowledged rows.
@@ -102,7 +102,7 @@ fn run(engine: Arc<dyn ServingEngine>, shared: Arc<Shared>, config: IngestConfig
         let due = engine.compaction_due(&config.delta);
         if due {
             if let Err(e) = engine.compact_delta() {
-                // The memtables stay resident and queryable; log, count,
+                // The sealed runs stay resident and queryable; log, count,
                 // and let the next tick retry.
                 errors.inc();
                 eprintln!("ct-server: delta compaction failed (will retry): {e}");

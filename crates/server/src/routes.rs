@@ -534,7 +534,7 @@ fn parse_fact_body(
 /// server is shutting down (no new rows once the final drain may have
 /// started), `429` + `Retry-After` once the resident tier exceeds
 /// [`IngestConfig::hard_max_rows`] — the compactor is behind, so the client
-/// should back off rather than grow the memtables without bound.
+/// should back off rather than grow the tier without bound.
 fn handle_ingest(
     engine: &dyn ServingEngine,
     admission: &Admission,

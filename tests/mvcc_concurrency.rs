@@ -11,9 +11,13 @@
 //!   begins completes with pre-update answers while the update runs on
 //!   another thread, and the old generation's files are unlinked only
 //!   after the last pinned reader drops.
+//! * **Exactly-once cut** — a `(pin, delta snapshot)` pair taken while
+//!   other threads ingest and compact sees every acknowledged batch once:
+//!   in the delta before its compaction flips, in the trees after.
 
 use cubetrees_repro::common::query::QueryRow;
 use cubetrees_repro::core::query::execute_query_with_delta;
+use cubetrees_repro::core::AnswerStamp;
 use cubetrees_repro::{
     AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef,
 };
@@ -219,4 +223,125 @@ fn batch_pinned_before_update_finishes_on_pre_update_answers() {
         old_paths.iter().all(|p| !p.exists()),
         "last pin drop unlinks the retired generation's files"
     );
+}
+
+/// Pins taken while one thread ingests continuously and another compacts:
+/// every `(generation, epoch)` cut must answer exactly like base ∪ the first
+/// `k` ingested batches for one `k` — no batch twice (in a run and in the
+/// trees), none missing (in neither) — equal stamps must mean equal answers,
+/// and neither the stamp nor `k` may go backwards.
+#[test]
+fn pins_during_continuous_ingest_and_compaction_cut_exactly_once() {
+    const BATCHES: usize = 48;
+    let cat = catalog();
+    let views = vec![
+        ViewDef::new(0, (0..3).map(cubetrees_repro::common::AttrId).collect(), AggFn::Sum),
+        ViewDef::new(1, vec![cubetrees_repro::common::AttrId(2)], AggFn::Sum),
+        ViewDef::new(2, vec![], AggFn::Sum),
+    ];
+    let (fact_keys, fact_measures) = rows(400, 0xD1CE);
+    let batches: Vec<(Vec<u64>, Vec<i64>)> =
+        (0..BATCHES).map(|i| rows(16, 0xB0 + i as u64 * 104729)).collect();
+
+    // expected[k][probe] over base ∪ batches[0..k]; measures are positive, so
+    // the grand total (probe 0) identifies k.
+    let qs = probes();
+    let mut expected: Vec<Vec<Vec<QueryRow>>> = Vec::with_capacity(BATCHES + 1);
+    let (mut acc_keys, mut acc_measures) = (fact_keys.clone(), fact_measures.clone());
+    expected.push(qs.iter().map(|q| reference(&acc_keys, &acc_measures, q)).collect());
+    for (keys, measures) in &batches {
+        acc_keys.extend_from_slice(keys);
+        acc_measures.extend_from_slice(measures);
+        expected.push(qs.iter().map(|q| reference(&acc_keys, &acc_measures, q)).collect());
+    }
+
+    let mut engine =
+        CubetreeEngine::new(cat.clone(), CubetreeConfig::new(views).with_threads(2)).unwrap();
+    engine.load(&relation(&cat, fact_keys, &fact_measures)).unwrap();
+    let engine = engine;
+    let forest = engine.forest().unwrap();
+
+    let done = AtomicBool::new(false);
+    let cuts = AtomicU64::new(0);
+    let flips = AtomicU64::new(0);
+    let seen: std::sync::Mutex<std::collections::HashMap<AnswerStamp, usize>> = Default::default();
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                let mut last = (AnswerStamp { generation: 0, delta_epoch: 0 }, 0usize);
+                while !done.load(Ordering::Acquire) {
+                    let probe = forest.answer_stamp();
+                    let (pin, delta) = forest.pin_with_delta();
+                    let stamp = AnswerStamp::of(&pin, &delta);
+                    let got: Vec<Vec<QueryRow>> = qs
+                        .iter()
+                        .map(|q| {
+                            let rows =
+                                execute_query_with_delta(&pin, Some(&delta), engine.env(), &cat, q);
+                            normalize(rows.unwrap())
+                        })
+                        .collect();
+                    let k = expected
+                        .iter()
+                        .position(|e| e[0] == got[0])
+                        .unwrap_or_else(|| panic!("{stamp:?}: total {:?} is no batch prefix", got[0]));
+                    assert_eq!(got, expected[k], "{stamp:?} mixes batch prefixes");
+                    assert!(
+                        probe.generation <= stamp.generation && probe.delta_epoch <= stamp.delta_epoch,
+                        "a stamp probed before the pin is ahead of it: {probe:?} > {stamp:?}"
+                    );
+                    assert!(
+                        last.0.generation <= stamp.generation
+                            && last.0.delta_epoch <= stamp.delta_epoch
+                            && last.1 <= k,
+                        "went backwards: {last:?} then ({stamp:?}, {k})"
+                    );
+                    last = (stamp, k);
+                    let first = *seen.lock().unwrap().entry(stamp).or_insert(k);
+                    assert_eq!(first, k, "{stamp:?} answered as two different states");
+                    cuts.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        scope.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                if engine.compact_delta().unwrap() {
+                    flips.fetch_add(1, Ordering::Release);
+                }
+                std::thread::yield_now();
+            }
+        });
+        // The ingester: every few batches it lets each reader cut at least
+        // once, and every sixteen it waits for a compaction of what it just
+        // ingested, so resident runs, merges and flips are all cut mid-stream.
+        let wait_for = |counter: &AtomicU64, target: u64| {
+            while counter.load(Ordering::Acquire) < target {
+                std::thread::yield_now();
+            }
+        };
+        for (i, (keys, measures)) in batches.iter().enumerate() {
+            // Read before the ingest: these rows stay resident until a flip
+            // after this point, so the wait below cannot miss it.
+            let flipped = flips.load(Ordering::Acquire);
+            engine.ingest(&relation(&cat, keys.clone(), measures)).unwrap();
+            if i % 4 == 3 {
+                wait_for(&cuts, cuts.load(Ordering::Acquire) + READERS as u64);
+            }
+            if i % 16 == 15 {
+                wait_for(&flips, flipped + 1);
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert!(flips.load(Ordering::Acquire) >= (BATCHES / 16) as u64);
+
+    // Quiesced: drain what is left; everything shows exactly once.
+    engine.compact_delta().unwrap();
+    assert_eq!(engine.delta_stats().unwrap().resident_rows(), 0);
+    let (pin, delta) = forest.pin_with_delta();
+    assert!(delta.as_option().is_none());
+    for (i, q) in qs.iter().enumerate() {
+        let got = normalize(execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap());
+        assert_eq!(got, expected[BATCHES][i], "final probe {i}");
+    }
 }
