@@ -11,6 +11,7 @@
 use ct_bench::experiments::estimate_data_bytes;
 use ct_bench::report::{fmt_ratio, fmt_secs, Report};
 use ct_bench::BenchArgs;
+use ct_rtree::LeafFormat;
 use ct_tpcd::{TpcdConfig, TpcdWarehouse};
 use ct_workload::{paper_configs, run_batch, QueryGenerator};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
@@ -23,6 +24,8 @@ fn load_cubetrees(args: &BenchArgs, sf: f64) -> (TpcdWarehouse, CubetreeEngine) 
     let mut setup = paper_configs(&w);
     setup.cubetree.pool_pages = args.pool_pages(estimate_data_bytes(fact.len() as u64));
     setup.cubetree.recorder = args.recorder();
+    // Figure 14 is the paper's: measured on the paper's leaf format.
+    setup.cubetree.format = LeafFormat::ZeroElided;
     let mut engine = CubetreeEngine::new(w.catalog().clone(), setup.cubetree)
         .expect("engine creation");
     engine.load(&fact).expect("load");
@@ -82,6 +85,7 @@ fn main() {
     for n in [1usize, 2, 4, 8] {
         let mut cfg = paper_configs(&w1).cubetree.with_threads(args.threads.max(n));
         cfg.pool_pages = (pool / n).max(128);
+        cfg.format = LeafFormat::ZeroElided;
         let spec = ShardSpec::new(n).with_partition_attr(a.partkey);
         let mut engine =
             ShardedEngine::new(w1.catalog().clone(), ShardedConfig::new(cfg, spec))

@@ -22,8 +22,9 @@ pub struct CubetreeConfig {
     /// paper's §3 "data replication scheme, where selected views are stored
     /// in multiple sort-orders".
     pub replicas: Vec<(ViewId, Vec<AttrId>)>,
-    /// Physical leaf format (the paper's zero-elided compression unless
-    /// running an ablation).
+    /// Physical leaf format packs and refreshes write: bit-packed columnar
+    /// leaves ([`LeafFormat::Compressed`]) unless reproducing the paper's
+    /// storage numbers or running the format ablation.
     pub format: LeafFormat,
     /// Buffer pool size in pages.
     pub pool_pages: usize,

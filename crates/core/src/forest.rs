@@ -509,11 +509,13 @@ impl CubetreeForest {
     }
 
     /// Reopens a forest from the environment's recovered manifest (after
-    /// [`ct_storage::StorageEnv::open_at`]). `views`, `replicas` and
-    /// `format` must be the same sets the forest was built with: the mapping
-    /// plan is a pure function of them, so the tree layout re-derives
-    /// deterministically and each tree re-attaches to its manifest-named
-    /// file.
+    /// [`ct_storage::StorageEnv::open_at`]). `views` and `replicas` must be
+    /// the same sets the forest was built with: the mapping plan is a pure
+    /// function of them, so the tree layout re-derives deterministically and
+    /// each tree re-attaches to its manifest-named file. `format` need not
+    /// match: leaves are self-describing, so the forest answers from the
+    /// bytes it finds and its next refresh merge-packs every tree into
+    /// `format`.
     pub fn open(
         env: &StorageEnv,
         views: &[ViewDef],

@@ -14,7 +14,8 @@
 //!    reappear (each view owns "a distinct continuous string of leaf-nodes").
 
 use crate::node::{
-    internal_capacity, InternalRNode, LeafEncoder, TreeMeta, ViewExtent, ViewInfo, NO_LEAF,
+    internal_capacity, write_internal, LeafEncoder, TreeMeta, ViewExtent, ViewInfo, FORMAT_PACKED,
+    FORMAT_RAW, FORMAT_ZERO_ELIDED, NO_LEAF,
 };
 use crate::tree::PackedRTree;
 use ct_common::{AggState, CtError, Point, Rect, Result};
@@ -22,16 +23,20 @@ use ct_storage::{BufferPool, FileId, PageId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Physical leaf encoding.
+/// Physical leaf encoding written by a pack. Leaves are self-describing, so
+/// a tree in any format can be read, and merge-packed into any other.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum LeafFormat {
     /// The paper's compression (§2.4): store only the view's `arity`
     /// coordinates as fixed-width words — the zero padding of the valid
-    /// mapping is never written. This is the default.
-    #[default]
+    /// mapping is never written. Kept for the paper-reproduction experiments
+    /// (Table 6's 2:1 storage claim is about this format).
     ZeroElided,
-    /// Zero elision **plus** per-column delta varints — a modern extension
-    /// measured in the compression ablation.
+    /// Zero elision **plus** per-leaf frame-of-reference bit packing: each
+    /// column is stored as fixed-width offsets from its minimum, so a leaf
+    /// holds 6–7× the entries and is still searched in place. This is the
+    /// default.
+    #[default]
     Compressed,
     /// Fixed-width entries including padding zeros (ablation baseline — what
     /// a naive R-tree would store).
@@ -41,9 +46,9 @@ pub enum LeafFormat {
 impl LeafFormat {
     fn code(self) -> u8 {
         match self {
-            LeafFormat::Compressed => 0,
-            LeafFormat::Raw => 1,
-            LeafFormat::ZeroElided => 2,
+            LeafFormat::Compressed => FORMAT_PACKED,
+            LeafFormat::Raw => FORMAT_RAW,
+            LeafFormat::ZeroElided => FORMAT_ZERO_ELIDED,
         }
     }
 }
@@ -112,7 +117,6 @@ pub struct TreeBuilder {
     pool: Arc<BufferPool>,
     fid: FileId,
     dims: usize,
-    format: LeafFormat,
     order: PackOrder,
     views: Vec<(ViewInfo, ViewExtent)>,
     view_slot: HashMap<u32, usize>,
@@ -121,8 +125,6 @@ pub struct TreeBuilder {
     cur_view: Option<usize>,
     enc: LeafEncoder,
     cur_mbr: Rect,
-    /// Sealed-but-unwritten previous leaf (waiting for its `next` pointer).
-    pending: Option<(PageId, LeafEncoder, Rect)>,
     level0: Vec<(Rect, u64)>,
     last_point: Option<(Point, u32)>,
     entry_count: u64,
@@ -173,15 +175,13 @@ impl TreeBuilder {
             pool,
             fid,
             dims,
-            format,
             order,
             views: views.into_iter().map(|v| (v, ViewExtent::default())).collect(),
             view_slot,
             done,
             cur_view: None,
-            enc: LeafEncoder::new(format.code(), 0, 0, 0, dims),
+            enc: LeafEncoder::new(format.code(), dims),
             cur_mbr: Rect::empty(dims),
-            pending: None,
             level0: Vec::new(),
             last_point: None,
             entry_count: 0,
@@ -238,22 +238,22 @@ impl TreeBuilder {
                 }
                 if let Some(prev) = other {
                     self.done[prev] = true;
-                    self.seal_leaf()?;
+                    self.seal_leaf(false)?;
                 }
                 self.cur_view = Some(slot);
-                self.enc =
-                    LeafEncoder::new(self.format.code(), view, info.arity as usize, info.agg_width(), self.dims);
+                self.enc.start(view, info.arity as usize, info.agg_width());
             }
-        }
-        if !self.enc.fits_one_more() {
-            self.seal_leaf()?;
-            self.enc =
-                LeafEncoder::new(self.format.code(), view, info.arity as usize, info.agg_width(), self.dims);
         }
         self.agg_scratch.clear();
         state.encode(info.agg, &mut self.agg_scratch);
         let coords = &point.coords()[..info.arity as usize];
-        self.enc.push(coords, &self.agg_scratch);
+        if !self.enc.try_push(coords, &self.agg_scratch) {
+            self.seal_leaf(false)?;
+            self.enc.start(view, info.arity as usize, info.agg_width());
+            if !self.enc.try_push(coords, &self.agg_scratch) {
+                return Err(CtError::invalid("one entry does not fit an empty leaf"));
+            }
+        }
         self.cur_mbr.expand_point(&point);
         self.entry_count += 1;
         self.views[slot].1.entries += 1;
@@ -261,58 +261,41 @@ impl TreeBuilder {
         Ok(())
     }
 
-    /// Seals the current leaf: allocates its page, links the previous leaf's
-    /// `next` pointer to it, and records its MBR for the upper levels.
-    fn seal_leaf(&mut self) -> Result<()> {
-        if self.enc.is_empty() {
-            return Ok(());
-        }
+    /// Seals the current leaf: allocates its page, writes it linked to the
+    /// page the next leaf will get (`last` ends the chain instead), and
+    /// records its MBR for the upper levels.
+    fn seal_leaf(&mut self, last: bool) -> Result<()> {
         let pid = self.pool.new_page(self.fid)?;
+        // Leaves are the only pages allocated before `finish` builds the
+        // upper levels, so a leaf's successor is the next page of the file.
+        if self.level0.last().is_some_and(|&(_, prev)| prev + 1 != pid.0) {
+            return Err(CtError::invalid("leaf pages are not consecutive"));
+        }
         if self.first_leaf == NO_LEAF {
             self.first_leaf = pid.0;
         }
-        // Record the per-view extent. Page 0 is always the meta page, so a
-        // zero `first_leaf` means "not set yet".
-        let slot = self
-            .cur_view
-            .ok_or_else(|| CtError::invalid("sealing a leaf without a current view"))?;
-        let ext = &mut self.views[slot].1;
-        if ext.first_leaf == 0 {
-            ext.first_leaf = pid.0;
+        // Record the per-view extent (the empty tree's lone leaf has no
+        // view). Page 0 is always the meta page, so a zero `first_leaf`
+        // means "not set yet".
+        if let Some(slot) = self.cur_view {
+            let ext = &mut self.views[slot].1;
+            if ext.first_leaf == 0 {
+                ext.first_leaf = pid.0;
+            }
+            ext.last_leaf = pid.0;
         }
-        ext.last_leaf = pid.0;
-        // Write out the *previous* leaf now that its successor is known.
-        let enc = std::mem::replace(
-            &mut self.enc,
-            LeafEncoder::new(self.format.code(), 0, 0, 0, self.dims),
-        );
+        let next = if last { NO_LEAF } else { pid.0 + 1 };
+        self.pool.with_page_mut(self.fid, pid, |p| self.enc.write(p, next))?;
         let mbr = std::mem::replace(&mut self.cur_mbr, Rect::empty(self.dims));
-        if let Some((prev_pid, prev_enc, prev_mbr)) = self.pending.take() {
-            self.pool.with_page_mut(self.fid, prev_pid, |p| prev_enc.write(p, pid.0))?;
-            self.level0.push((prev_mbr, prev_pid.0));
-        }
-        self.pending = Some((pid, enc, mbr));
+        self.level0.push((mbr, pid.0));
         Ok(())
     }
 
     /// Finishes the pack: flushes the last leaf, builds the internal levels
     /// bottom-up, writes the meta page and returns the finished tree.
     pub fn finish(mut self) -> Result<PackedRTree> {
-        if !self.enc.is_empty() {
-            self.seal_leaf()?;
-        }
-        if let Some((pid, enc, mbr)) = self.pending.take() {
-            self.pool.with_page_mut(self.fid, pid, |p| enc.write(p, NO_LEAF))?;
-            self.level0.push((mbr, pid.0));
-        }
-        if self.level0.is_empty() {
-            // Empty tree: a single empty leaf as root.
-            let pid = self.pool.new_page(self.fid)?;
-            let enc = LeafEncoder::new(self.format.code(), u32::MAX, 0, 0, self.dims);
-            self.pool.with_page_mut(self.fid, pid, |p| enc.write(p, NO_LEAF))?;
-            self.level0.push((Rect::empty(self.dims), pid.0));
-            self.first_leaf = pid.0;
-        }
+        // An empty tree gets a single empty leaf as its root.
+        self.seal_leaf(true)?;
         let leaf_count = self.level0.len() as u64;
         let cap = internal_capacity(self.dims);
         let mut level = std::mem::take(&mut self.level0);
@@ -321,7 +304,6 @@ impl TreeBuilder {
             height += 1;
             let mut next = Vec::with_capacity(level.len() / cap + 1);
             for chunk in level.chunks(cap) {
-                let node = InternalRNode { entries: chunk.to_vec() };
                 let mut mbr = Rect::empty(self.dims);
                 for (r, _) in chunk {
                     if !r.is_empty() {
@@ -329,7 +311,7 @@ impl TreeBuilder {
                     }
                 }
                 let pid = self.pool.new_page(self.fid)?;
-                self.pool.with_page_mut(self.fid, pid, |p| node.write(p, self.dims))?;
+                self.pool.with_page_mut(self.fid, pid, |p| write_internal(p, self.dims, chunk))?;
                 next.push((mbr, pid.0));
             }
             level = next;

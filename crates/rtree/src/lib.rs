@@ -15,10 +15,12 @@
 //! * **View-contiguous leaves** (§2.4): every materialized view occupies "a
 //!   distinct continuous string of leaf-nodes"; a leaf never mixes views.
 //! * **Compression** (§2.4): because a leaf belongs to exactly one view, the
-//!   padding zero coordinates are never stored; entries are further
-//!   delta/varint encoded against their predecessor ("about 90% of the pages
-//!   of every index correspond to compressed leaf nodes"). An uncompressed
-//!   leaf format is kept for the ablation benchmark.
+//!   padding zero coordinates are never stored ("about 90% of the pages of
+//!   every index correspond to compressed leaf nodes"). The default leaf
+//!   ([`LeafFormat::Compressed`]) also bit-packs each column as offsets from
+//!   its per-leaf minimum: 6–7× smaller again and still random-access, so a
+//!   search works on the packed columns and decodes only what it returns.
+//!   The paper's format and a raw one stay writable for the experiments.
 //! * **Merge-pack incremental update** (\[RKR97\], §3.4): an update merges the
 //!   always-sorted old tree with a sorted delta stream into a freshly packed
 //!   tree, in linear time and with only sequential writes.
@@ -33,7 +35,6 @@ pub mod build;
 pub mod merge;
 pub mod node;
 pub mod tree;
-pub mod varint;
 
 pub use build::{morton_cmp, LeafFormat, PackOrder, TreeBuilder};
 pub use merge::{merge_pack, EntryStream, VecStream};

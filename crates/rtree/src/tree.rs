@@ -1,8 +1,11 @@
 //! Read access to a finished packed R-tree: region search and sorted scans.
 
-use crate::node::{read_leaf, InternalRNode, TreeMeta, ViewExtent, ViewInfo, NO_LEAF, TAG_LEAF};
+use crate::node::{
+    intersecting_children, LeafHead, LeafView, TreeMeta, ViewExtent, ViewInfo, NO_LEAF,
+};
 use ct_common::{AggState, CtError, Point, Rect, Result};
 use ct_storage::{BufferPool, FileId, PageId, PAGE_SIZE};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// A finished (immutable) packed R-tree.
@@ -18,33 +21,41 @@ pub struct PackedRTree {
     meta: TreeMeta,
 }
 
+/// What a page visit copies out of the buffer pool, reused from page to page
+/// so that no visit allocates; callers are handed entries from here, after
+/// the page has been released.
+#[derive(Default)]
+struct Scratch {
+    /// Intersecting child pids of the internal nodes on the current path,
+    /// one contiguous frame per level.
+    children: Vec<u64>,
+    /// Indices of the current leaf's matching entries.
+    sel: Vec<u16>,
+    /// The matching entries, [`LeafHead::width`] words each.
+    rows: Vec<u64>,
+}
+
+thread_local! {
+    /// The calling thread's last search scratch, owned by a search for its
+    /// duration (one started from inside a callback finds the slot empty
+    /// and starts afresh), so steady-state searches allocate nothing.
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
 /// Leaf-run readahead state threaded through one search.
 ///
-/// At each leaf-parent internal node the search records the ascending list
-/// of leaf children that intersect the region — depth-first order visits
-/// exactly these pages next — and keeps up to `window` of the not-yet-read
-/// ones resident via batched pool prefetch. Planning from the parent's
-/// entry table makes readahead waste-free: every prefetched page is one the
-/// search is guaranteed to consume.
+/// A leaf-parent's intersecting children ([`Scratch::children`]) are exactly
+/// the pages depth-first order visits next, so the search keeps up to
+/// `window` of the not-yet-read ones resident via batched pool prefetch and
+/// never prefetches a page it will not consume.
 struct ReadAhead {
     /// Max pages to keep prefetched ahead of the sweep cursor; 0 disables.
     window: usize,
-    /// Intersecting leaf pids under the current leaf-parent, ascending.
-    upcoming: Vec<u64>,
-    /// Index of the next unvisited entry in `upcoming`.
+    /// `children[pos..end]`: the current leaf-parent's unvisited leaves.
     pos: usize,
-    /// Entries below this index are covered by an issued prefetch.
+    end: usize,
+    /// Children below this index are covered by an issued prefetch.
     fetched: usize,
-}
-
-impl ReadAhead {
-    fn new(window: usize) -> Self {
-        ReadAhead { window, upcoming: Vec::new(), pos: 0, fetched: 0 }
-    }
-
-    fn disabled() -> Self {
-        ReadAhead::new(0)
-    }
 }
 
 /// Size/shape statistics for reports and the storage-comparison experiment.
@@ -118,6 +129,7 @@ impl PackedRTree {
 
     /// Region search: calls `f(view, point, aggregate)` for every entry whose
     /// point lies in `region`, in packed order. `f` returns `false` to stop.
+    /// No buffer-pool lock is held while `f` runs.
     ///
     /// A slice query on view `V{a1..ak}` is the rectangle with each sliced
     /// axis pinned to its constant, each open axis spanning `[1, COORD_MAX]`,
@@ -125,14 +137,9 @@ impl PackedRTree {
     pub fn search(
         &self,
         region: &Rect,
-        mut f: impl FnMut(u32, &Point, &AggState) -> bool,
+        f: impl FnMut(u32, &Point, &AggState) -> bool,
     ) -> Result<()> {
-        if region.dims() != self.meta.dims {
-            return Err(CtError::invalid("query region dimensionality mismatch"));
-        }
-        let mut ra = ReadAhead::disabled();
-        self.search_node(PageId(self.meta.root), region, &mut ra, &mut f)?;
-        Ok(())
+        self.search_with_readahead(region, 0, f)
     }
 
     /// Like [`PackedRTree::search`], prefetching ahead of the leaf sweep.
@@ -154,111 +161,98 @@ impl PackedRTree {
         if region.dims() != self.meta.dims {
             return Err(CtError::invalid("query region dimensionality mismatch"));
         }
-        let mut ra = ReadAhead::new(window);
-        self.search_node(PageId(self.meta.root), region, &mut ra, &mut f)?;
-        Ok(())
+        let mut cx = SCRATCH.take();
+        let mut ra = ReadAhead { window, pos: 0, end: 0, fetched: 0 };
+        let root = PageId(self.meta.root);
+        let done = self.search_node(root, self.meta.height, region, &mut ra, &mut cx, &mut f);
+        cx.children.clear();
+        SCRATCH.set(cx);
+        done.map(|_| ())
     }
 
+    /// Visits one page, `level - 1` levels above the leaves: a single
+    /// `with_page`, inside which the page is validated and what the search
+    /// needs of it is copied out. The balanced tree fixes what each level
+    /// holds, so a page of the wrong kind is corruption, and a damaged child
+    /// pointer cannot make the descent loop.
     fn search_node(
         &self,
         pid: PageId,
+        level: u32,
         region: &Rect,
         ra: &mut ReadAhead,
+        cx: &mut Scratch,
         f: &mut impl FnMut(u32, &Point, &AggState) -> bool,
     ) -> Result<bool> {
-        let is_leaf = self.pool.with_page(self.fid, pid, |p| p.bytes()[0] == TAG_LEAF)?;
-        if is_leaf {
-            let leaf = self.pool.with_page(self.fid, pid, read_leaf)??;
+        if level <= 1 {
+            let leaf = self.visit_leaf(pid, Some(region), cx)?;
             if ra.window > 0 {
-                self.advance_readahead(pid, ra)?;
-            }
-            if leaf.count == 0 {
-                return Ok(true);
-            }
-            let info = self
-                .view_extent(leaf.view)
-                .ok_or_else(|| CtError::corrupt("leaf for unknown view"))?
-                .0;
-            for i in 0..leaf.count {
-                let point = Point::new(leaf.coords_of(i), self.meta.dims);
-                if region.contains_point(&point) {
-                    let state = AggState::decode(info.agg, leaf.aggs_of(i))?;
-                    if !f(leaf.view, &point, &state) {
-                        return Ok(false);
-                    }
+                if cx.children.get(ra.pos) == Some(&pid.0) {
+                    ra.pos += 1;
                 }
+                self.top_up_readahead(&cx.children, ra)?;
             }
-            Ok(true)
-        } else {
-            let node = self.pool.with_page(self.fid, pid, |p| InternalRNode::read(p, self.meta.dims))??;
-            if ra.window > 0 {
-                self.plan_readahead(&node, region, ra)?;
-            }
-            for (mbr, child) in &node.entries {
-                if !mbr.is_empty()
-                    && mbr.intersects(region)
-                    && !self.search_node(PageId(*child), region, ra, f)?
-                {
+            for row in cx.rows.chunks_exact(leaf.width()) {
+                let (point, state) = leaf.entry(row, self.meta.dims)?;
+                if !f(leaf.view, &point, &state) {
                     return Ok(false);
                 }
             }
-            Ok(true)
+            return Ok(true);
         }
+        let frame = cx.children.len();
+        self.pool.with_page(self.fid, pid, |p| {
+            intersecting_children(p, self.meta.dims, region, &mut cx.children)
+        })??;
+        if ra.window > 0 && level == 2 {
+            // The depth-first search visits exactly these leaves next.
+            // Packed construction emits children in ascending page order,
+            // but sort defensively — the contiguous-run grouping relies on it.
+            cx.children[frame..].sort_unstable();
+            (ra.pos, ra.end, ra.fetched) = (frame, cx.children.len(), frame);
+            self.top_up_readahead(&cx.children, ra)?;
+        }
+        let mut more = true;
+        let mut i = frame;
+        while more && i < cx.children.len() {
+            more = self.search_node(PageId(cx.children[i]), level - 1, region, ra, cx, f)?;
+            i += 1;
+        }
+        cx.children.truncate(frame);
+        Ok(more)
     }
 
-    /// If `node` is a leaf-parent, records the exact list of intersecting
-    /// leaf children the depth-first search is about to visit and issues the
-    /// initial prefetch window over it.
-    fn plan_readahead(&self, node: &InternalRNode, region: &Rect, ra: &mut ReadAhead) -> Result<()> {
-        if self.meta.leaf_count == 0 {
-            return Ok(());
-        }
-        let leaf_end = self.meta.first_leaf + self.meta.leaf_count - 1;
-        let mut pids: Vec<u64> = Vec::new();
-        for (mbr, child) in &node.entries {
-            if !mbr.is_empty() && mbr.intersects(region) {
-                if *child < self.meta.first_leaf || *child > leaf_end {
-                    // Children are internal nodes; each leaf-parent below
-                    // will plan its own window.
-                    return Ok(());
+    /// The one leaf reader: inside a single `with_page`, validates the leaf
+    /// and copies out the entries inside `region` (all of them for `None`)
+    /// into `cx.rows`.
+    fn visit_leaf(&self, pid: PageId, region: Option<&Rect>, cx: &mut Scratch) -> Result<LeafHead> {
+        self.pool.with_page(self.fid, pid, |p| {
+            let leaf = LeafView::parse(p, &self.meta)?;
+            cx.rows.clear();
+            match region {
+                Some(region) => {
+                    leaf.select(region, self.meta.order == 0, &mut cx.sel);
+                    leaf.gather(cx.sel.iter().map(|&i| i as usize), &mut cx.rows);
                 }
-                pids.push(*child);
+                None => leaf.gather(0..leaf.count, &mut cx.rows),
             }
-        }
-        if pids.is_empty() {
-            return Ok(());
-        }
-        // Packed construction emits children in ascending page order, but
-        // sort defensively — the contiguous-run grouping relies on it.
-        pids.sort_unstable();
-        ra.upcoming = pids;
-        ra.pos = 0;
-        ra.fetched = 0;
-        self.top_up_readahead(ra)
-    }
-
-    /// Marks `pid` visited and keeps the next `window` upcoming leaves
-    /// prefetched ahead of the sweep cursor.
-    fn advance_readahead(&self, pid: PageId, ra: &mut ReadAhead) -> Result<()> {
-        if ra.upcoming.get(ra.pos) == Some(&pid.0) {
-            ra.pos += 1;
-        }
-        self.top_up_readahead(ra)
+            Ok(leaf.head)
+        })?
     }
 
     /// Issues prefetch for upcoming leaves through `pos + window`, batching
     /// contiguous pid runs into single pool requests.
-    fn top_up_readahead(&self, ra: &mut ReadAhead) -> Result<()> {
-        let target = (ra.pos + ra.window).min(ra.upcoming.len());
+    fn top_up_readahead(&self, children: &[u64], ra: &mut ReadAhead) -> Result<()> {
+        let target = (ra.pos + ra.window).min(ra.end);
         ra.fetched = ra.fetched.max(ra.pos);
         while ra.fetched < target {
-            let mut end = ra.fetched;
-            while end + 1 < target && ra.upcoming[end + 1] == ra.upcoming[end] + 1 {
-                end += 1;
+            let mut last = ra.fetched;
+            while last + 1 < target && children[last + 1] == children[last] + 1 {
+                last += 1;
             }
-            let start = PageId(ra.upcoming[ra.fetched]);
-            self.pool.prefetch_run(self.fid, start, end - ra.fetched + 1)?;
-            ra.fetched = end + 1;
+            let start = PageId(children[ra.fetched]);
+            self.pool.prefetch_run(self.fid, start, last - ra.fetched + 1)?;
+            ra.fetched = last + 1;
         }
         Ok(())
     }
@@ -270,38 +264,8 @@ impl PackedRTree {
             tree: self,
             next_leaf: self.meta.first_leaf,
             leaf: None,
-            idx: 0,
-        }
-    }
-
-    /// Scans only the leaf run of one view, in packed order.
-    pub fn scan_view(
-        &self,
-        view: u32,
-        mut f: impl FnMut(&Point, &AggState) -> bool,
-    ) -> Result<()> {
-        let Some((info, ext)) = self.view_extent(view) else {
-            return Err(CtError::invalid(format!("view {view} not in this tree")));
-        };
-        if ext.entries == 0 {
-            return Ok(());
-        }
-        let mut pid = ext.first_leaf;
-        loop {
-            let leaf = self.pool.with_page(self.fid, PageId(pid), read_leaf)??;
-            if leaf.view == view {
-                for i in 0..leaf.count {
-                    let point = Point::new(leaf.coords_of(i), self.meta.dims);
-                    let state = AggState::decode(info.agg, leaf.aggs_of(i))?;
-                    if !f(&point, &state) {
-                        return Ok(());
-                    }
-                }
-            }
-            if pid == ext.last_leaf || leaf.next == NO_LEAF {
-                return Ok(());
-            }
-            pid = leaf.next;
+            cx: Scratch::default(),
+            at: 0,
         }
     }
 }
@@ -312,8 +276,10 @@ impl PackedRTree {
 pub struct TreeScanner<'a> {
     tree: &'a PackedRTree,
     next_leaf: u64,
-    leaf: Option<crate::node::DecodedLeaf>,
-    idx: usize,
+    leaf: Option<LeafHead>,
+    /// The current leaf's entries, and the offset of the next one.
+    cx: Scratch,
+    at: usize,
 }
 
 impl TreeScanner<'_> {
@@ -321,30 +287,23 @@ impl TreeScanner<'_> {
     pub fn next_entry(&mut self) -> Result<Option<(u32, Point, AggState)>> {
         loop {
             if let Some(leaf) = &self.leaf {
-                if self.idx < leaf.count {
-                    let i = self.idx;
-                    self.idx += 1;
-                    let point = Point::new(leaf.coords_of(i), self.tree.meta.dims);
-                    let info = self
-                        .tree
-                        .view_extent(leaf.view)
-                        .ok_or_else(|| CtError::corrupt("leaf for unknown view"))?
-                        .0;
-                    let state = AggState::decode(info.agg, leaf.aggs_of(i))?;
+                if let Some(row) = self.cx.rows.get(self.at..self.at + leaf.width()) {
+                    self.at += leaf.width();
+                    let (point, state) = leaf.entry(row, self.tree.meta.dims)?;
                     return Ok(Some((leaf.view, point, state)));
                 }
-                self.next_leaf = leaf.next;
-                self.leaf = None;
             }
             if self.next_leaf == NO_LEAF {
                 return Ok(None);
             }
-            let leaf = self
-                .tree
-                .pool
-                .with_page(self.tree.fid, PageId(self.next_leaf), read_leaf)??;
-            self.leaf = Some(leaf);
-            self.idx = 0;
+            let pid = self.next_leaf;
+            let leaf = self.tree.visit_leaf(PageId(pid), None, &mut self.cx)?;
+            // Leaves are allocated as they are sealed, so the chain ascends;
+            // anything else could loop.
+            if leaf.next <= pid {
+                return Err(CtError::corrupt("leaf chain does not ascend"));
+            }
+            (self.next_leaf, self.leaf, self.at) = (leaf.next, Some(leaf), 0);
         }
     }
 }
@@ -355,6 +314,34 @@ mod tests {
     use crate::build::{LeafFormat, TreeBuilder};
     use ct_common::{AggFn, COORD_MAX};
     use ct_storage::StorageEnv;
+    use std::alloc::{GlobalAlloc, Layout, System};
+
+    /// Counts the calling thread's heap allocations (tests run in parallel).
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to the system allocator; the
+    // counter is a plain thread-local `Cell<u64>` with no destructor, so
+    // touching it neither allocates nor re-enters.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
 
     fn sum_view(view: u32, arity: u8) -> ViewInfo {
         ViewInfo { view, arity, agg: AggFn::Sum }
@@ -447,22 +434,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(pt, vec![17]);
-    }
-
-    #[test]
-    fn scan_view_isolates_one_view() {
-        let env = StorageEnv::new("rtree-scanview").unwrap();
-        let t = paper_tree(&env, LeafFormat::Raw);
-        let mut sum = 0i64;
-        let mut n = 0;
-        t.scan_view(9, |_, s| {
-            sum += s.sum;
-            n += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(n, 5);
-        assert_eq!(sum, 60);
     }
 
     #[test]
@@ -781,5 +752,44 @@ mod tests {
         })
         .unwrap();
         assert_eq!(got, Some((0, 999)));
+    }
+
+    #[test]
+    fn a_long_sweep_allocates_no_more_than_a_point_query() {
+        let env = StorageEnv::new("rtree-alloc").unwrap();
+        let fid = env.create_file("t").unwrap();
+        let mut b =
+            TreeBuilder::new(env.pool().clone(), fid, 2, vec![sum_view(1, 2)], LeafFormat::Compressed)
+                .unwrap();
+        for y in 1..=400u64 {
+            for x in 1..=400u64 {
+                b.push(1, Point::new(&[x, y], 2), &AggState::from_measure((x * y) as i64)).unwrap();
+            }
+        }
+        let t = b.finish().unwrap();
+        assert!(t.stats().leaf_pages >= 50, "only {} leaves", t.stats().leaf_pages);
+        let count = |region: Rect| {
+            let before = ALLOCS.get();
+            let mut n = 0u64;
+            t.search(&region, |_, _, _| {
+                n += 1;
+                true
+            })
+            .unwrap();
+            (n, ALLOCS.get() - before)
+        };
+        let everything = Rect::new(&[1, 1], &[COORD_MAX, COORD_MAX]);
+        // The first sweep grows this thread's scratch to the largest leaf.
+        assert_eq!(count(everything).0, 160_000);
+        let (swept, sweep_allocs) = count(everything);
+        let (hit, point_allocs) = count(Rect::new(&[200, 200], &[200, 200]));
+        assert_eq!((swept, hit), (160_000, 1));
+        assert!(
+            sweep_allocs <= point_allocs,
+            "a {}-leaf sweep allocated {sweep_allocs} times, a point query {point_allocs}",
+            t.stats().leaf_pages
+        );
+        // Visiting a page never allocates, so neither search does.
+        assert_eq!(sweep_allocs, 0);
     }
 }

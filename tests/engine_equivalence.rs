@@ -214,3 +214,64 @@ fn storage_cubetrees_beat_conventional() {
         "cubetrees {cube_bytes} vs conventional {conv_bytes}"
     );
 }
+
+/// Leaves are self-describing: a forest written in the paper's zero-elided
+/// format opens under the bit-packed default, answers identically, and its
+/// next refresh merge-packs it into the configured format.
+#[test]
+fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
+    use cubetrees_repro::common::CostModel;
+    use cubetrees_repro::core::query::execute_query_with_delta;
+    use cubetrees_repro::core::CubetreeForest;
+    use cubetrees_repro::obs::Recorder;
+    use cubetrees_repro::rtree::LeafFormat;
+    use cubetrees_repro::storage::{FaultPlan, Parallelism, StorageEnv, TempDir};
+
+    let w = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.004, seed: 29 });
+    let (fact, delta) = (w.generate_fact(), w.generate_increment(0.1));
+    let cfg = paper_configs(&w).cubetree;
+    let a = *w.attrs();
+    let queries = all_slice_types([a.partkey, a.suppkey, a.custkey], [5, 3, 7]);
+    let dir = TempDir::new("format-reopen").unwrap();
+    let open_env = || {
+        let env = StorageEnv::open_at(
+            dir.path(),
+            256,
+            CostModel::default(),
+            Parallelism::new(1),
+            Recorder::disabled(),
+            FaultPlan::none(),
+        );
+        env.expect("open_at").0
+    };
+    let answers = |forest: &CubetreeForest, env: &StorageEnv| -> Vec<Vec<QueryRow>> {
+        let run = |q| execute_query_with_delta(&forest.pin(), None, env, w.catalog(), q);
+        queries.iter().map(|q| normalize_rows(run(q).unwrap())).collect()
+    };
+
+    let (before, elided_bytes) = {
+        let env = open_env();
+        let elided = LeafFormat::ZeroElided;
+        let forest =
+            CubetreeForest::build(&env, w.catalog(), &fact, &cfg.views, &cfg.replicas, elided).unwrap();
+        env.pool().flush_all().unwrap();
+        (answers(&forest, &env), forest.storage_bytes(&env))
+    };
+    let env = open_env();
+    let forest = CubetreeForest::open(&env, &cfg.views, &cfg.replicas, LeafFormat::Compressed).unwrap();
+    assert_eq!(answers(&forest, &env), before, "same bytes, read under another configured format");
+    assert_eq!(forest.storage_bytes(&env), elided_bytes);
+
+    forest.update(&env, w.catalog(), &delta).unwrap();
+    let mut reference = CubetreeEngine::new(w.catalog().clone(), cfg).unwrap();
+    reference.load(&fact).unwrap();
+    reference.update(&delta).unwrap();
+    let expect: Vec<Vec<QueryRow>> =
+        queries.iter().map(|q| normalize_rows(reference.query(q).unwrap())).collect();
+    assert_eq!(answers(&forest, &env), expect, "after the refresh into compressed leaves");
+    let packed_bytes = forest.storage_bytes(&env);
+    assert!(
+        packed_bytes * 3 < elided_bytes,
+        "the refresh rewrote every tree in the configured format: {packed_bytes} vs {elided_bytes} bytes"
+    );
+}

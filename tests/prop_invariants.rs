@@ -5,8 +5,10 @@
 
 use cubetrees_repro::btree::BTree;
 use cubetrees_repro::common::query::{normalize_rows, QueryRow};
-use cubetrees_repro::common::{AggFn, AggState, Point, Rect};
-use cubetrees_repro::rtree::{merge_pack, LeafFormat, TreeBuilder, VecStream, ViewInfo};
+use cubetrees_repro::common::{AggFn, AggState, Point, Rect, COORD_MAX};
+use cubetrees_repro::rtree::{
+    merge_pack, LeafFormat, PackedRTree, TreeBuilder, VecStream, ViewInfo,
+};
 use cubetrees_repro::storage::StorageEnv;
 use cubetrees_repro::{
     AggFn as Agg, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery,
@@ -15,35 +17,87 @@ use cubetrees_repro::{
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
-/// Strategy: a set of distinct 2-d points with measures, in a small domain so
-/// collisions and multi-leaf trees both occur.
-fn points_2d(max_len: usize) -> impl Strategy<Value = Vec<((u64, u64), i64)>> {
-    proptest::collection::btree_map((1..60u64, 1..60u64), -50i64..50, 1..max_len)
-        .prop_map(|m| m.into_iter().collect())
+const FORMATS: [LeafFormat; 3] = [LeafFormat::ZeroElided, LeafFormat::Compressed, LeafFormat::Raw];
+
+/// One stored entry of the 3-d test tree: `(point, view, measure)`. View `k`
+/// is the view of arity `k`, so packed point order keeps views contiguous.
+type Entry = (Point, u32, i64);
+
+/// A coordinate or bound: small values that collide and share leaves, plus a
+/// few next to `COORD_MAX`, which force a 64-bit packed column.
+fn coord(lowest: u64) -> impl Strategy<Value = u64> {
+    (lowest..66u64).prop_map(|v| if v <= 60 { v } else { COORD_MAX - (65 - v) })
 }
 
-fn build_tree(
-    env: &StorageEnv,
-    name: &str,
-    pts: &[((u64, u64), i64)],
-    format: LeafFormat,
-) -> cubetrees_repro::rtree::PackedRTree {
+/// Measures that cross zero, plus both `i64` extremes.
+fn measure() -> impl Strategy<Value = i64> {
+    (-52i64..52).prop_map(|m| match m {
+        -52 => i64::MIN,
+        51 => i64::MAX,
+        m => m,
+    })
+}
+
+/// Distinct entries of arities 0–3 (mostly 3, so that a view outgrows one
+/// leaf in every format and leaves are sealed exactly full; the arity-0 view
+/// is a single-entry leaf whenever it is drawn), in packed order.
+fn entries(max_len: usize) -> impl Strategy<Value = Vec<Entry>> {
+    let key = (0..8usize, coord(1), coord(1), coord(1));
+    proptest::collection::btree_map(key, measure(), 1..max_len).prop_map(|m| {
+        let distinct: BTreeMap<(Point, u32), i64> = m
+            .into_iter()
+            .map(|((arity, x, y, z), q)| {
+                let arity = arity.min(3);
+                ((Point::new(&[x, y, z][..arity], 3), arity as u32), q)
+            })
+            .collect();
+        distinct.into_iter().map(|((p, v), q)| (p, v, q)).collect()
+    })
+}
+
+/// A region of the 3-d space; bounds may be 0, where the padding lives.
+fn region() -> impl Strategy<Value = Rect> {
+    proptest::collection::vec((coord(0), coord(0)), 3).prop_map(|b| {
+        let (lo, hi): (Vec<u64>, Vec<u64>) = b.iter().map(|&(a, b)| (a.min(b), a.max(b))).unzip();
+        Rect::new(&lo, &hi)
+    })
+}
+
+fn views() -> Vec<ViewInfo> {
+    (0..=3).map(|k| ViewInfo { view: k, arity: k as u8, agg: AggFn::Sum }).collect()
+}
+
+fn build_tree(env: &StorageEnv, name: &str, entries: &[Entry], format: LeafFormat) -> PackedRTree {
     let fid = env.create_file(name).unwrap();
-    let mut b = TreeBuilder::new(
-        env.pool().clone(),
-        fid,
-        2,
-        vec![ViewInfo { view: 1, arity: 2, agg: AggFn::Sum }],
-        format,
-    )
-    .unwrap();
-    let mut sorted: Vec<(Point, i64)> =
-        pts.iter().map(|&((x, y), q)| (Point::new(&[x, y], 2), q)).collect();
-    sorted.sort_by_key(|e| e.0);
-    for (p, q) in sorted {
-        b.push(1, p, &AggState::from_measure(q)).unwrap();
+    let mut b = TreeBuilder::new(env.pool().clone(), fid, 3, views(), format).unwrap();
+    for &(p, v, q) in entries {
+        b.push(v, p, &AggState::from_measure(q)).unwrap();
     }
     b.finish().unwrap()
+}
+
+/// "Decode everything": the scanner's output, the reference the in-leaf
+/// binary search and column filters are held against.
+fn scan(tree: &PackedRTree) -> Vec<Entry> {
+    let mut scanner = tree.scanner();
+    let mut got = Vec::new();
+    while let Some((v, p, s)) = scanner.next_entry().unwrap() {
+        got.push((p, v, s.sum));
+    }
+    got
+}
+
+/// Region search must equal a brute-force filter of the full scan.
+fn assert_search_is_filter(tree: &PackedRTree, region: &Rect, what: &str) {
+    let mut got = Vec::new();
+    tree.search(region, |v, p, s| {
+        got.push((*p, v, s.sum));
+        true
+    })
+    .unwrap();
+    let expect: Vec<Entry> =
+        scan(tree).into_iter().filter(|(p, _, _)| region.contains_point(p)).collect();
+    assert_eq!(got, expect, "{what}, region {region:?}");
 }
 
 proptest! {
@@ -52,90 +106,60 @@ proptest! {
     /// Packing then scanning returns exactly the input, in packed order,
     /// for every leaf format.
     #[test]
-    fn prop_pack_scan_roundtrip(pts in points_2d(300)) {
+    fn prop_pack_scan_roundtrip(input in entries(700)) {
         let env = StorageEnv::new("prop-pack").unwrap();
-        for format in [LeafFormat::ZeroElided, LeafFormat::Compressed, LeafFormat::Raw] {
-            let tree = build_tree(&env, &format!("t{:?}", format), &pts, format);
-            let mut scanner = tree.scanner();
-            let mut got = Vec::new();
-            while let Some((_, p, s)) = scanner.next_entry().unwrap() {
-                got.push(((p.coord(0), p.coord(1)), s.sum));
-            }
-            let mut expect: Vec<((u64, u64), i64)> = pts.clone();
-            expect.sort_by_key(|&((x, y), _)| (y, x));
-            prop_assert_eq!(&got, &expect, "format {:?}", format);
+        for format in FORMATS {
+            let tree = build_tree(&env, &format!("t{:?}", format), &input, format);
+            prop_assert_eq!(&scan(&tree), &input, "format {:?}", format);
         }
     }
 
-    /// Region search equals a brute-force filter for arbitrary rectangles.
+    /// Region search equals a brute-force filter for arbitrary rectangles,
+    /// for every leaf format.
     #[test]
     fn prop_region_search_is_filter(
-        pts in points_2d(300),
-        x0 in 1..60u64, x1 in 1..60u64,
-        y0 in 1..60u64, y1 in 1..60u64,
+        input in entries(700),
+        regions in proptest::collection::vec(region(), 6),
     ) {
         let env = StorageEnv::new("prop-region").unwrap();
-        let tree = build_tree(&env, "t", &pts, LeafFormat::ZeroElided);
-        let (xlo, xhi) = (x0.min(x1), x0.max(x1));
-        let (ylo, yhi) = (y0.min(y1), y0.max(y1));
-        let mut got = Vec::new();
-        tree.search(&Rect::new(&[xlo, ylo], &[xhi, yhi]), |_, p, s| {
-            got.push(((p.coord(0), p.coord(1)), s.sum));
-            true
-        }).unwrap();
-        got.sort();
-        let mut expect: Vec<((u64, u64), i64)> = pts
-            .iter()
-            .filter(|&&((x, y), _)| x >= xlo && x <= xhi && y >= ylo && y <= yhi)
-            .cloned()
-            .collect();
-        expect.sort();
-        prop_assert_eq!(got, expect);
+        for format in FORMATS {
+            let tree = build_tree(&env, &format!("t{:?}", format), &input, format);
+            for region in &regions {
+                assert_search_is_filter(&tree, region, &format!("format {format:?}"));
+            }
+        }
     }
 
     /// merge-pack(tree(A), B) has exactly the contents of tree(A ⊎ B) where
-    /// equal keys merge their aggregates.
+    /// equal keys merge their aggregates — within each format, and from the
+    /// fixed-width formats into the bit-packed one (what a reopened forest
+    /// does on its next refresh).
     #[test]
     fn prop_merge_pack_equals_recompute(
-        base in points_2d(200),
-        delta in points_2d(100),
+        base in entries(500),
+        delta in entries(250),
+        regions in proptest::collection::vec(region(), 3),
     ) {
         let env = StorageEnv::new("prop-merge").unwrap();
-        let old = build_tree(&env, "old", &base, LeafFormat::ZeroElided);
-        let mut delta_sorted: Vec<(Point, i64)> =
-            delta.iter().map(|&((x, y), q)| (Point::new(&[x, y], 2), q)).collect();
-        delta_sorted.sort_by_key(|e| e.0);
-        let items: Vec<(u32, Point, AggState)> = delta_sorted
-            .iter()
-            .map(|&(p, q)| (1u32, p, AggState::from_measure(q)))
-            .collect();
-        let mut stream = VecStream::new(items);
-        let new_fid = env.create_file("new").unwrap();
-        let merged = merge_pack(
-            env.pool().clone(),
-            &old,
-            &mut stream,
-            new_fid,
-            vec![ViewInfo { view: 1, arity: 2, agg: AggFn::Sum }],
-            LeafFormat::ZeroElided,
-        )
-        .unwrap();
-        // Model: combine maps.
-        let mut model: BTreeMap<(u64, u64), (i64, i64)> = BTreeMap::new(); // (sum, count)
-        for &((x, y), q) in base.iter().chain(delta.iter()) {
-            let e = model.entry((x, y)).or_insert((0, 0));
-            e.0 += q;
-            e.1 += 1;
+        let mut model: BTreeMap<(Point, u32), i64> = BTreeMap::new();
+        for &(p, v, q) in base.iter().chain(delta.iter()) {
+            let sum = model.entry((p, v)).or_insert(0);
+            *sum = sum.wrapping_add(q);
         }
-        let mut got = Vec::new();
-        let mut scanner = merged.scanner();
-        while let Some((_, p, s)) = scanner.next_entry().unwrap() {
-            got.push(((p.coord(0), p.coord(1)), s.sum));
+        let expect: Vec<Entry> = model.into_iter().map(|((p, v), q)| (p, v, q)).collect();
+        let mixed = [(LeafFormat::ZeroElided, LeafFormat::Compressed), (LeafFormat::Raw, LeafFormat::Compressed)];
+        for (i, (from, to)) in FORMATS.map(|f| (f, f)).into_iter().chain(mixed).enumerate() {
+            let old = build_tree(&env, &format!("old{i}"), &base, from);
+            let items = delta.iter().map(|&(p, v, q)| (v, p, AggState::from_measure(q))).collect();
+            let mut stream = VecStream::new(items);
+            let new_fid = env.create_file(&format!("new{i}")).unwrap();
+            let merged =
+                merge_pack(env.pool().clone(), &old, &mut stream, new_fid, views(), to).unwrap();
+            prop_assert_eq!(&scan(&merged), &expect, "{:?} into {:?}", from, to);
+            for region in &regions {
+                assert_search_is_filter(&merged, region, &format!("{from:?} into {to:?}"));
+            }
         }
-        got.sort();
-        let expect: Vec<((u64, u64), i64)> =
-            model.into_iter().map(|(k, (sum, _))| (k, sum)).collect();
-        prop_assert_eq!(got, expect);
     }
 
     /// The B+-tree behaves like a `BTreeMap` under interleaved inserts,
