@@ -48,12 +48,6 @@ cargo run -q --release --offline -p ct-bench --bin bench_mixed -- \
 # Serving smoke: ephemeral-port server, one JSON query, one CSV query, one
 # refresh, clean shutdown.
 cargo run -q --release --offline --example serving_smoke > /dev/null
-# Serving baseline: real server over loopback at two client counts; exits
-# non-zero if batched dispatch reads more pages per query than per-request
-# sequential dispatch allows (results/bench_serving_baseline.json), or any
-# query errors. target/BENCH_serving.json records qps and tail latencies.
-cargo run -q --release --offline -p ct-bench --bin bench_serving -- \
-  --sf 0.01 --queries 160 --threads 4 --json target/BENCH_serving.json > /dev/null
 # Delta-tier gates: tree+delta answers must equal a rebuilt base∪delta
 # engine across compaction, and concurrent /ingest + /query + merge-pack
 # must produce zero 5xx with monotonic visibility and an exact drained

@@ -29,7 +29,6 @@ use ct_workload::{paper_configs, run_serving, QueryGenerator};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
 use cubetree::{ServingEngine, ShardSpec, ShardedConfig, ShardedEngine};
 use std::sync::Arc;
-use std::time::Duration;
 
 struct Side {
     label: &'static str,
@@ -72,8 +71,6 @@ fn main() {
             Arc::new(engine)
         };
         let mut server_cfg = ServerConfig::default();
-        server_cfg.admission.max_batch = 32;
-        server_cfg.admission.max_delay = Duration::from_millis(2);
         server_cfg.cache.enabled = cache;
         // Threshold 1: every miss populates, so the warm-up cost of the
         // frequency doorkeeper doesn't blur a short benchmark run.

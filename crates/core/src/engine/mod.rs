@@ -53,9 +53,8 @@ pub(crate) fn query_sources(
 /// `sources`; `stamps(i)` are query `i`'s freshness stamps under those pins.
 /// A query no view can answer fails alone; an execution error fails the
 /// batch. Execution is panic-isolated: a panicking batch is answered as
-/// errors instead of unwinding into the server's batcher thread, where one
-/// poisoned batch would strand every queued waiter and permanently eat the
-/// admission queue's capacity.
+/// errors instead of unwinding into the server's connection thread, which
+/// would drop the connection without a response.
 pub(crate) fn serve_sources(
     sources: &[QuerySource<'_>],
     consults: impl Fn(usize, usize) -> bool,
@@ -185,13 +184,14 @@ pub trait ServingEngine: Send + Sync {
     /// listed under.
     fn views(&self) -> Result<(u64, Vec<ViewInfo>)>;
 
-    /// Executes one admission-formed batch under a single snapshot per
-    /// storage environment (one MVCC pin, plus one per shard for a sharded
-    /// engine) and returns the generation stamp with per-query outcomes.
+    /// Executes one batch (the server submits batches of one) under a single
+    /// snapshot per storage environment (one MVCC pin, plus one per shard for
+    /// a sharded engine) and returns the generation stamp with per-query
+    /// outcomes.
     ///
     /// Execution must be panic-isolated: a poisoned query (or batch) comes
     /// back as `Err` strings rather than unwinding into the caller, so the
-    /// server's batcher thread survives.
+    /// server's connection thread answers `500` instead of dying.
     fn serve_batch(&self, queries: &[SliceQuery]) -> (u64, Vec<std::result::Result<ServedAnswer, String>>);
 
     /// The freshness stamps a fresh execution of `q` would carry right now

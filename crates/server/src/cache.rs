@@ -1,8 +1,8 @@
 //! Generation-keyed answer cache: memoizing hot slice answers across
-//! batches.
+//! requests.
 //!
-//! The admission layer probes this cache for every query of a formed batch
-//! before the batch is dispatched; hits replay a stored answer with zero
+//! The admission layer probes this cache for every query before executing
+//! it; hits replay a stored answer with zero
 //! planning, pinning, or page I/O, and misses execute normally and populate
 //! the cache on the way out. Correctness rests on *structural* freshness,
 //! not TTLs: entries are stored with the [`AnswerStamp`] vector of the
@@ -60,7 +60,7 @@ pub struct CacheConfig {
     /// first sight; the default `2` keeps one-off queries out.
     pub admission_threshold: u32,
     /// Lock shards (clamped to at least 1). Probes hash the query key to a
-    /// shard, so concurrent batch formers rarely contend.
+    /// shard, so concurrent connection threads rarely contend.
     pub shards: usize,
 }
 
@@ -234,7 +234,7 @@ impl AnswerCache {
         let mut shard = self.shard_of(digest).lock().unwrap_or_else(|p| p.into_inner());
         let mut evicted = 0u64;
         if let Some(old) = shard.map.remove(&key) {
-            // Concurrent batches answered the same query; keep the newer
+            // Concurrent requests answered the same query; keep the newer
             // stamps (monotone, so "newer" is whichever arrives last —
             // either way the next probe validates against live stamps).
             shard.bytes -= old.cost;

@@ -27,7 +27,7 @@ pub struct IngestConfig {
     /// Hard cap on resident delta rows: `/ingest` answers `429` +
     /// `Retry-After` above it, so a compactor that cannot keep up degrades
     /// into backpressure instead of unbounded memory growth (the write-side
-    /// analogue of the admission queue's depth bound).
+    /// analogue of admission's `max_depth` bound).
     pub hard_max_rows: u64,
     /// Advertised `Retry-After` (seconds) on refused ingests.
     pub retry_after_secs: u64,

@@ -3,7 +3,7 @@
 //! A long-lived binary front end over the typed [`cubetree`] engine API:
 //! hand-rolled HTTP/1.1 on [`std::net`] (the workspace is offline — no
 //! tokio, no hyper), JSON and CSV response formats, and an
-//! admission-controlled batching query path.
+//! admission-controlled query path.
 //!
 //! ## Endpoints
 //!
@@ -19,12 +19,12 @@
 //! ## Architecture
 //!
 //! Connections are handled thread-per-connection with keep-alive. Query
-//! requests are validated against the loaded schema, then enqueued into a
-//! bounded [`admission`] queue; a single batch-former thread drains the
-//! queue into batches and executes each against one pinned generation via
-//! the engine's scheduler, so concurrent clients share leaf passes and
-//! packed-order sweeps. A full queue answers `429` + `Retry-After` instead
-//! of queueing without bound. `POST /refresh` runs the generation-MVCC
+//! requests are validated against the loaded schema, then answered on the
+//! connection's own thread through [`admission`]: an answer-cache probe,
+//! and on a miss one execution against one pinned generation — one query
+//! executes at a time, and at most `max_depth` wait their turn. Beyond
+//! that bound the server answers `429` + `Retry-After` instead of letting
+//! waiters pile up. `POST /refresh` runs the generation-MVCC
 //! merge-pack concurrently with in-flight reads: queries admitted before
 //! the flip answer from the old generation, queries after from the new,
 //! and every response is stamped with the generation it answered from.
@@ -83,7 +83,7 @@ pub struct ServerConfig {
     /// Bind address; port `0` asks the OS for an ephemeral port (the bound
     /// address is reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Admission-queue and batch-former tuning.
+    /// Admission-control tuning (in-flight bound, `Retry-After`).
     pub admission: AdmissionConfig,
     /// Streaming-ingestion thresholds and backpressure tuning.
     pub ingest: IngestConfig,
@@ -113,7 +113,7 @@ struct ServerState {
 }
 
 /// The serving layer. [`CtServer::start`] binds, spawns the accept loop and
-/// the batch former, and returns a handle; [`ServerHandle::shutdown`] (or
+/// the compactor, and returns a handle; [`ServerHandle::shutdown`] (or
 /// dropping the handle) stops everything.
 pub struct CtServer;
 
@@ -165,8 +165,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stops accepting, drains the admission queue, and joins the accept
-    /// loop. Idempotent.
+    /// Stops accepting and admitting (queries already admitted finish on
+    /// their connection threads) and drains the compactor. Idempotent.
     pub fn shutdown(&self) {
         if self.state.stop.swap(true, Ordering::SeqCst) {
             return;

@@ -7,7 +7,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ct_common::query::{normalize_rows, QueryRow};
+use ct_common::query::QueryRow;
 use ct_common::{AttrId, Catalog, CtError, SliceQuery};
 use ct_cube::Relation;
 use cubetree::ServingEngine;
@@ -150,7 +150,7 @@ fn handle_metrics(engine: &dyn ServingEngine) -> Result<Response, ApiError> {
     Ok(Response::json(200, engine.metrics_json()))
 }
 
-/// The query path: parse → validate → admission queue → wait → format.
+/// The query path: parse → validate → admit and execute → format.
 fn handle_query(
     engine: &dyn ServingEngine,
     admission: &Admission,
@@ -160,12 +160,12 @@ fn handle_query(
         Ok(v) => v,
         Err(e) => return e.into_response(),
     };
-    let rx = match admission.submit(validated.query) {
-        Ok(rx) => rx,
+    let answered = match admission.submit(validated.query) {
+        Ok(answered) => answered,
         Err(crate::admission::SubmitError::Overloaded { retry_after_secs }) => {
             return Response::json(
                 429,
-                "{\"error\": \"admission queue full, retry later\"}".to_string(),
+                "{\"error\": \"too many queries in flight, retry later\"}".to_string(),
             )
             .with_header("retry-after", retry_after_secs.to_string());
         }
@@ -176,20 +176,17 @@ fn handle_query(
             );
         }
     };
-    match rx.recv() {
-        Ok(Ok(answer)) => {
-            let rows = normalize_rows(answer.rows);
-            match validated.format {
-                Format::Json => Response::json(
-                    200,
-                    query_rows_json(answer.generation, &validated.columns, &rows),
-                ),
-                Format::Csv => Response::csv(query_rows_csv(&validated.columns, &rows))
-                    .with_header("x-generation", answer.generation.to_string()),
-            }
-        }
-        Ok(Err(message)) => ApiError::internal(message).into_response(),
-        Err(_) => ApiError::internal("batch executor went away").into_response(),
+    let Ok(outcome) = answered.recv();
+    match outcome {
+        Ok(answer) => match validated.format {
+            Format::Json => Response::json(
+                200,
+                query_rows_json(answer.generation, &validated.columns, &answer.rows),
+            ),
+            Format::Csv => Response::csv(query_rows_csv(&validated.columns, &answer.rows))
+                .with_header("x-generation", answer.generation.to_string()),
+        },
+        Err(message) => ApiError::internal(message).into_response(),
     }
 }
 
@@ -382,7 +379,7 @@ pub fn validate_query_request(
     // Planability check (covers "bad dimension arity": a group-by set no
     // materialized view derives). Planned against the current generation;
     // views are never dropped by refresh, so a plan that exists now exists
-    // in the generation(s) the batch eventually pins.
+    // in the generation(s) the query eventually pins.
     if let Err(e) = engine.plan_check(&query) {
         return Err(match e {
             CtError::Unsupported(msg) => ApiError::bad_request(msg),

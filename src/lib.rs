@@ -19,7 +19,7 @@
 //! | [`tpcd`] | TPC-D-like generator (DBGEN substitute) |
 //! | [`core`] | SelectMapping, the Cubetree forest, both engines |
 //! | [`workload`] | random slice queries, batch runner, the paper's §3 setup |
-//! | [`server`] | HTTP/1.1 serving layer with admission-controlled batching |
+//! | [`server`] | HTTP/1.1 serving layer: admission control, answer cache, refresh-while-serving |
 
 pub use ct_btree as btree;
 pub use ct_common as common;

@@ -7,12 +7,17 @@
 //!
 //! * **Bit-identity proptest** — a random op sequence runs against two
 //!   identically built engines, one serving through a cache-enabled
-//!   admission queue and one cache-disabled; every query answer must match
+//!   admission handle and one cache-disabled; every query answer must match
 //!   exactly. Swept over both `CubetreeEngine` and `ShardedEngine`.
 //! * **No pre-refresh answers after the flip** — a directed test warms the
 //!   cache, refreshes with a delta that changes the answer, and asserts
 //!   the next response carries the post-refresh rows (the stamp mismatch
 //!   is counted as `cache.invalidations`).
+//! * **Concurrent submitters during a refresh** — queries run on their
+//!   submitters' threads, so four threads submit through one cache-enabled
+//!   handle while a refresh flips the generation; every answer must equal
+//!   `engine.query()` at the generation it is stamped with, and the
+//!   in-flight accounting must come back to zero.
 //! * **Sharded subset hits** — an ingest routed to a shard a query never
 //!   consults must keep that query's stamps matching (the entry keeps
 //!   hitting), while a refresh anywhere must invalidate (central planning
@@ -77,6 +82,16 @@ fn query_classes(p: AttrId, s: AttrId, c: AttrId) -> Vec<SliceQuery> {
     ]
 }
 
+/// A cache-enabled admission handle over `engine` (admission threshold 1,
+/// so every miss populates — maximal cache involvement).
+fn cached_admission(engine: Arc<dyn ServingEngine>) -> Admission {
+    let cache = AnswerCache::from_config(
+        &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
+        engine.recorder(),
+    );
+    Admission::start(engine, AdmissionConfig::default(), cache)
+}
+
 #[derive(Clone, Debug)]
 enum Op {
     Query(usize),
@@ -96,9 +111,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Replays `ops` through an admission queue over `engine`, optionally with
-/// a cache (admission threshold 1 so every miss populates — maximal cache
-/// involvement). Writes go straight to the engine, serialized between
+/// Replays `ops` through an admission handle over `engine`, optionally with
+/// a cache. Writes go straight to the engine, serialized between
 /// queries, exactly as the server's routes would apply them. Returns the
 /// normalized rows of every query op (`None` for error answers).
 fn run_ops(
@@ -109,22 +123,17 @@ fn run_ops(
     attrs: (AttrId, AttrId, AttrId),
 ) -> Vec<Option<Vec<QueryRow>>> {
     let (p, s, c) = attrs;
-    let cache = if cache_on {
-        AnswerCache::from_config(
-            &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
-            engine.recorder(),
-        )
+    let admission = if cache_on {
+        cached_admission(Arc::clone(&engine))
     } else {
-        None
+        Admission::start(Arc::clone(&engine), AdmissionConfig::default(), None)
     };
-    let admission = Admission::start(Arc::clone(&engine), AdmissionConfig::default(), cache);
     let mut answers = Vec::new();
     for op in ops {
         match op {
             Op::Query(i) => {
-                let rx = admission.submit(queries[*i].clone()).expect("submit");
-                let reply = rx.recv().expect("batcher alive");
-                answers.push(reply.ok().map(|a| normalize_rows(a.rows)));
+                let Ok(reply) = admission.submit(queries[*i].clone()).expect("submit").recv();
+                answers.push(reply.ok().map(|a| normalize_rows(a.rows.to_vec())));
             }
             Op::Refresh(seed) => {
                 engine.refresh(&lcg_fact(p, s, c, 20, *seed)).expect("refresh");
@@ -198,19 +207,11 @@ fn refresh_flip_invalidates_cached_answers() {
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 1)]);
-    let cache = AnswerCache::from_config(
-        &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
-        &recorder,
-    );
-    let admission = Admission::start(
-        engine.clone() as Arc<dyn ServingEngine>,
-        AdmissionConfig::default(),
-        cache,
-    );
+    let admission = cached_admission(engine.clone());
     let ask = |label: &str| {
-        let rx = admission.submit(q.clone()).expect("submit");
-        let answer = rx.recv().expect("batcher alive").unwrap_or_else(|e| panic!("{label}: {e}"));
-        (answer.generation, normalize_rows(answer.rows))
+        let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
+        let answer = reply.unwrap_or_else(|e| panic!("{label}: {e}"));
+        (answer.generation, normalize_rows(answer.rows.to_vec()))
     };
     let (gen0, before) = ask("warm");
     // Second ask is a hit (the first populated at threshold 1).
@@ -241,6 +242,62 @@ fn refresh_flip_invalidates_cached_answers() {
     admission.shutdown();
 }
 
+/// Queries execute on their submitters' threads: four of them hammer one
+/// cache-enabled handle while a refresh flips the generation underneath.
+/// Every answer — hit or miss, before or after the flip — must equal a
+/// fresh `engine.query()` at the generation it is stamped with, and every
+/// admitted query must give its slot back.
+#[test]
+fn concurrent_submits_during_refresh_match_fresh_queries() {
+    const THREADS: usize = 4;
+    const SUBMITS: usize = 200;
+    let engine = build_unsharded();
+    let recorder = ServingEngine::recorder(&*engine).clone();
+    let (_, p, s, c) = catalog();
+    let queries = query_classes(p, s, c);
+    let admission = cached_admission(engine.clone());
+    let fresh = || -> Vec<Vec<QueryRow>> {
+        queries.iter().map(|q| normalize_rows(engine.query(q).expect("fresh query"))).collect()
+    };
+    let gen_before = ServingEngine::generation(&*engine);
+    let mut expected = std::collections::HashMap::from([(gen_before, fresh())]);
+
+    let answers: Vec<Vec<(usize, u64, Vec<QueryRow>)>> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (admission, queries) = (&admission, &queries);
+                scope.spawn(move || {
+                    (0..SUBMITS)
+                        .map(|i| {
+                            let qi = (t + i) % queries.len();
+                            let Ok(reply) =
+                                admission.submit(queries[qi].clone()).expect("submit").recv();
+                            let answer = reply.expect("answer");
+                            (qi, answer.generation, answer.rows.to_vec())
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        ServingEngine::refresh(&*engine, &lcg_fact(p, s, c, 40, 0xFEED)).expect("refresh");
+        submitters.into_iter().map(|t| t.join().expect("submitter")).collect()
+    });
+
+    let gen_after = ServingEngine::generation(&*engine);
+    assert!(gen_after > gen_before, "refresh must advance the generation");
+    expected.insert(gen_after, fresh());
+    for (qi, generation, rows) in answers.into_iter().flatten() {
+        let want = expected.get(&generation).unwrap_or_else(|| panic!("generation {generation}"));
+        assert_eq!(rows, want[qi], "query {qi} at generation {generation}");
+    }
+    assert_eq!(recorder.gauge("server.admission.depth").get(), 0.0);
+    assert_eq!(
+        recorder.counter("server.admission.enqueued").get(),
+        (THREADS * SUBMITS) as u64
+    );
+    admission.shutdown();
+}
+
 /// The delta-epoch component invalidates on ingest too, not just refresh:
 /// streamed rows are visible to the very next query, so a hit serving the
 /// pre-ingest answer would be a correctness bug even though no generation
@@ -248,21 +305,12 @@ fn refresh_flip_invalidates_cached_answers() {
 #[test]
 fn ingest_invalidates_cached_answers() {
     let engine = build_unsharded();
-    let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 2)]);
-    let cache = AnswerCache::from_config(
-        &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
-        &recorder,
-    );
-    let admission = Admission::start(
-        engine.clone() as Arc<dyn ServingEngine>,
-        AdmissionConfig::default(),
-        cache,
-    );
+    let admission = cached_admission(engine.clone());
     let ask = || {
-        let rx = admission.submit(q.clone()).expect("submit");
-        normalize_rows(rx.recv().expect("alive").expect("answer").rows)
+        let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
+        normalize_rows(reply.expect("answer").rows.to_vec())
     };
     let before = ask();
     assert_eq!(ask(), before, "second ask hits");
@@ -346,18 +394,10 @@ fn sharded_subset_hits_survive_foreign_ingest() {
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 1)]);
-    let cache = AnswerCache::from_config(
-        &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
-        &recorder,
-    );
-    let admission = Admission::start(
-        engine.clone() as Arc<dyn ServingEngine>,
-        AdmissionConfig::default(),
-        cache,
-    );
+    let admission = cached_admission(engine.clone());
     let ask = || {
-        let rx = admission.submit(q.clone()).expect("submit");
-        normalize_rows(rx.recv().expect("alive").expect("answer").rows)
+        let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
+        normalize_rows(reply.expect("answer").rows.to_vec())
     };
     let before = ask(); // populates
     let baseline = ServingEngine::answer_stamps(&*engine, &q);

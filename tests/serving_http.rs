@@ -6,7 +6,7 @@
 //!    out-of-domain values, grouped-and-sliced overlap and underivable
 //!    group-by sets all come back as 4xx, and the server keeps serving.
 //! 2. **Bit-identical answers** — rows served over HTTP (JSON *and* CSV,
-//!    batched through the admission queue) equal the engine's sequential
+//!    through admission and the answer cache) equal the engine's sequential
 //!    `query()` answers exactly, including every `f64` bit (Rust's float
 //!    formatting is shortest-round-trip, so the wire is lossless).
 //! 3. **Snapshot consistency under refresh** — while clients hammer the
@@ -23,7 +23,6 @@ use cubetrees_repro::{
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A small deterministic warehouse: 3 attributes, 2 views, 300 rows.
 fn build_engine(threads: usize) -> (Arc<CubetreeEngine>, Vec<cubetrees_repro::common::AttrId>) {
@@ -124,9 +123,8 @@ fn validation_errors_return_4xx_and_server_survives() {
 
 #[test]
 fn loopback_answers_are_bit_identical_to_sequential_query() {
-    // threads=2 so the admission batcher uses the parallel batch scheduler —
-    // the interesting path; the reference answers use the engine's
-    // sequential query() directly.
+    // threads=2 so the served path runs through the parallel scheduler; the
+    // reference answers use the engine's sequential query() directly.
     let (engine, attrs) = build_engine(2);
     let server = CtServer::start(engine.clone(), ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();
@@ -283,46 +281,24 @@ fn refresh_during_queries_is_snapshot_consistent() {
 fn overload_returns_429_with_retry_after() {
     let (engine, attrs) = build_engine(1);
     let mut config = ServerConfig::default();
-    // Depth 2 and a long forming window: accepted queries stay queued while
-    // the batch forms, so concurrent submits past the bound are refused.
-    // Idle-flush must be off — it would drain each submit immediately and
-    // the queue would fill only when the six clients happen to collide.
-    config.admission.max_depth = 2;
-    config.admission.max_batch = 64;
-    config.admission.max_delay = Duration::from_millis(400);
-    config.admission.flush_on_idle = false;
+    // No query may be in flight, so every /query is refused — the bound is
+    // exercised without having to make requests collide. (The unit tests in
+    // `admission.rs` park real submitters to check a non-zero bound.)
+    config.admission.max_depth = 0;
     config.admission.retry_after_secs = 3;
     let server = CtServer::start(engine.clone(), config).unwrap();
-    let addr = server.addr().to_string();
     let body = query_body(
         engine.catalog(),
         &SliceQuery::new(vec![attrs[1]], vec![(attrs[0], 1)]),
         false,
     );
-    let statuses: std::sync::Mutex<Vec<(u16, Option<String>)>> =
-        std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..6 {
-            let addr = &addr;
-            let body = &body;
-            let statuses = &statuses;
-            scope.spawn(move || {
-                let mut client = HttpClient::connect(addr).unwrap();
-                let reply = client.request("POST", "/query", body).unwrap();
-                statuses
-                    .lock()
-                    .unwrap()
-                    .push((reply.status, reply.header("retry-after").map(str::to_string)));
-            });
-        }
-    });
-    let statuses = statuses.into_inner().unwrap();
-    let ok = statuses.iter().filter(|(s, _)| *s == 200).count();
-    let rejected: Vec<_> = statuses.iter().filter(|(s, _)| *s == 429).collect();
-    assert!(ok >= 2, "accepted queries answer eventually: {statuses:?}");
-    assert!(!rejected.is_empty(), "queue bound never refused: {statuses:?}");
-    for (_, retry_after) in &rejected {
-        assert_eq!(retry_after.as_deref(), Some("3"), "429 carries Retry-After");
+    let mut client = HttpClient::connect(&server.addr().to_string()).unwrap();
+    for _ in 0..3 {
+        let reply = client.request("POST", "/query", &body).unwrap();
+        assert_eq!(reply.status, 429, "{}", String::from_utf8_lossy(&reply.body));
+        assert_eq!(reply.header("retry-after"), Some("3"), "429 carries Retry-After");
     }
+    // Refusing queries does not wedge the rest of the server.
+    assert_eq!(client.request("GET", "/healthz", "").unwrap().status, 200);
     server.join();
 }

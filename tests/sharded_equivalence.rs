@@ -242,7 +242,7 @@ fn degenerate_batches_answer_like_query_one_by_one() {
     let vs = views(p, s, c);
     let fact = lcg_fact(p, s, c, 3000, 0xC0FFEE);
     // 33 queries: the classes cycled, so duplicates share scans when the
-    // scheduler runs and 33 overflows the admission batch of 32.
+    // scheduler runs.
     let queries: Vec<SliceQuery> =
         query_classes(p, s, c).into_iter().cycle().take(33).collect();
     let engines = engine_matrix(&cat, &fact, &vs, p);
