@@ -98,3 +98,8 @@ benchmark/run.sh --quick --workload serve_uniform_cold > /dev/null
 # merge-packs; exits non-zero on a wrong answer, a refused ingest or a tier
 # that is not empty after the drain.
 benchmark/run.sh --quick --workload serve_ingest_mix > /dev/null
+# Benchmark smoke for the load path: load then successive refreshes with no
+# server, so view computation, external sort, packing and merge-pack (and
+# the page checksum on every run and tree page) are exercised; exits
+# non-zero on a wrong answer or a ladder page-count mismatch.
+benchmark/run.sh --quick --workload bulk_load_refresh > /dev/null

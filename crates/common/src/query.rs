@@ -145,6 +145,8 @@ impl QueryKey {
     /// A stable 64-bit digest (FNV-1a over the canonical encoding), suitable
     /// for shard selection and frequency sketches. Deterministic across runs
     /// and platforms, unlike [`std::hash::Hash`] through a keyed hasher.
+    /// It hashes a few dozen bytes per query and is not on the I/O path;
+    /// page and manifest sums use `ct_storage::page::checksum`.
     pub fn digest(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -72,22 +72,24 @@ pub fn compute_view(
     // Stream out, merging adjacent equal keys.
     let mut out = Relation::empty(target_attrs.to_vec());
     let mut stream = sorter.finish()?;
-    let mut current: Option<(Vec<u64>, ct_common::AggState)> = None;
+    // The open group: its key (a buffer reused across groups) and state.
+    let mut key = Vec::with_capacity(arity);
+    let mut current: Option<ct_common::AggState> = None;
     while let Some(r) = stream.next_record()? {
-        let key = &r[..arity];
         let state = Relation::words_to_state(&r[arity..]);
         match &mut current {
-            Some((k, s)) if k.as_slice() == key => s.merge(&state),
+            Some(s) if key[..] == r[..arity] => s.merge(&state),
             _ => {
-                if let Some((k, s)) = current.take() {
-                    out.push(&k, s);
+                if let Some(s) = current.replace(state) {
+                    out.push(&key, s);
                 }
-                current = Some((key.to_vec(), state));
+                key.clear();
+                key.extend_from_slice(&r[..arity]);
             }
         }
     }
-    if let Some((k, s)) = current.take() {
-        out.push(&k, s);
+    if let Some(s) = current {
+        out.push(&key, s);
     }
     env.stats().add_tuples(out.len() as u64);
     Ok(out)

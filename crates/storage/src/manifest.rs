@@ -15,7 +15,7 @@
 //! The format is a checksummed line-oriented text file:
 //!
 //! ```text
-//! cubetrees-manifest v1
+//! cubetrees-manifest v2
 //! seq 3
 //! stamp refresh-7
 //! file cubetree-0 0007-cubetree-0-gen1.pages 12 f00dfeedcafe1234
@@ -28,9 +28,13 @@
 //! the token forward, so crash recovery can tell whether a given refresh
 //! landed on this environment.
 //!
-//! The trailing `crc` line is the FNV-1a checksum ([`crate::page::checksum`])
-//! of everything before it, so a torn manifest write is detected as
-//! [`ct_common::CtError::Corrupt`] rather than silently trusted.
+//! The trailing `crc` line is the workspace checksum
+//! ([`crate::page::checksum`]) of everything before it, so a torn manifest
+//! write is detected as [`ct_common::CtError::Corrupt`] rather than silently
+//! trusted. The per-file sums use the same function, streamed over the file
+//! in fixed chunks ([`file_checksum`]). Format `v1` used a byte-wise
+//! checksum that is no longer implemented; a `v1` manifest is refused with
+//! an error that says so, before its `crc` line is even looked at.
 //!
 //! All manifest I/O goes through `std::fs` directly — never the pager or the
 //! buffer pool — so committing a manifest leaves the environment's simulated
@@ -40,7 +44,7 @@
 //! recorder (`tests/metrics_obs.rs`).
 
 use crate::fault::FaultPlan;
-use crate::page::checksum;
+use crate::page::{checksum, Checksum};
 use ct_common::{CtError, Result};
 use std::path::{Path, PathBuf};
 
@@ -49,7 +53,13 @@ pub const MANIFEST_NAME: &str = "MANIFEST";
 /// Scratch name used during an atomic rewrite.
 pub const MANIFEST_TMP_NAME: &str = "MANIFEST.tmp";
 
-const HEADER: &str = "cubetrees-manifest v1";
+const HEADER: &str = "cubetrees-manifest v2";
+/// Header of the retired format, recognized only to refuse it by name.
+const HEADER_V1: &str = "cubetrees-manifest v1";
+/// The error a `v1` manifest gets, instead of a misleading crc mismatch.
+const V1_REFUSAL: &str = "manifest v1 uses the retired FNV-1a checksum; rebuild the environment";
+/// Read size of [`file_checksum`]: a whole number of checksum blocks.
+const FILE_CHUNK: usize = 1 << 20;
 
 /// One component → file binding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,9 +126,15 @@ impl Manifest {
         Ok(body)
     }
 
-    /// Parses the text format, verifying the trailing `crc` line.
+    /// Parses the text format: checks the header, then verifies the
+    /// trailing `crc` line, then reads the records.
     pub fn decode(text: &str) -> Result<Manifest> {
         let corrupt = |what: &str| CtError::corrupt(format!("manifest: {what}"));
+        match text.lines().next() {
+            Some(HEADER) => {}
+            Some(HEADER_V1) => return Err(CtError::corrupt(V1_REFUSAL)),
+            _ => return Err(corrupt("bad header")),
+        }
         // The crc line is always last; anchor on the final line break so a
         // record token can never be mistaken for it.
         let last_line_start = text
@@ -137,10 +153,7 @@ impl Manifest {
         if checksum(body.as_bytes()) != want {
             return Err(corrupt("checksum mismatch (torn write?)"));
         }
-        let mut lines = body.lines();
-        if lines.next() != Some(HEADER) {
-            return Err(corrupt("bad header"));
-        }
+        let mut lines = body.lines().skip(1);
         let seq = lines
             .next()
             .and_then(|l| l.strip_prefix("seq "))
@@ -213,9 +226,22 @@ impl Manifest {
 }
 
 /// Computes the whole-file content checksum recovery verifies against,
-/// reading via `std::fs` so simulated I/O counters stay untouched.
+/// reading via `std::fs` so simulated I/O counters stay untouched. The file
+/// is streamed through [`Checksum`] in 1 MiB reads, so commit and recovery
+/// memory does not grow with the file.
 pub fn file_checksum(path: &Path) -> Result<u64> {
-    Ok(checksum(&std::fs::read(path)?))
+    use std::io::Read;
+    let mut file = std::fs::File::open(path)?;
+    let mut buf = vec![0u8; FILE_CHUNK];
+    let mut sum = Checksum::new();
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => return Ok(sum.finish()),
+            Ok(n) => sum.update(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
 }
 
 /// The recovery report returned by [`recover`].
@@ -341,6 +367,38 @@ mod tests {
             assert!(Manifest::decode(&text[..cut]).is_err(), "cut at {cut}");
         }
         assert!(Manifest::decode("").is_err());
+    }
+
+    #[test]
+    fn v1_manifest_is_refused_by_name_before_its_crc() {
+        // A well-formed v1 manifest as the old format wrote it; its crc is
+        // a byte-wise sum this crate no longer computes.
+        let v1 = "cubetrees-manifest v1\nseq 3\nfile cubetree-0 0007-cubetree-0-gen1.pages 12 \
+                  f00dfeedcafe1234\ncrc 6d9f3c1c2b4e8a01\n";
+        match Manifest::decode(v1) {
+            Err(CtError::Corrupt(msg)) => assert_eq!(msg, V1_REFUSAL),
+            other => panic!("expected the v1 refusal, got {other:?}"),
+        }
+        // Any other header is plainly bad, whatever its crc says.
+        let text = sample().encode().unwrap().replacen("v2", "v3", 1);
+        assert!(matches!(Manifest::decode(&text), Err(CtError::Corrupt(m)) if m.contains("bad header")));
+        assert!(sample().encode().unwrap().starts_with("cubetrees-manifest v2\n"));
+    }
+
+    #[test]
+    fn streamed_file_checksum_equals_one_shot() {
+        let dir = TempDir::new("manifest-filesum").unwrap();
+        let data: Vec<u8> = (0..8192 * 3 + 7).map(|i| (i * 131 % 251) as u8).collect();
+        for len in [0, 31, 32, 33, 8192 * 3 + 7] {
+            let path = dir.path().join(format!("{len}.pages"));
+            std::fs::write(&path, &data[..len]).unwrap();
+            assert_eq!(file_checksum(&path).unwrap(), checksum(&data[..len]), "len {len}");
+        }
+        // Larger than one read chunk, and not a multiple of it.
+        let big: Vec<u8> = (0..FILE_CHUNK + 4099).map(|i| (i % 253) as u8).collect();
+        let path = dir.path().join("big.pages");
+        std::fs::write(&path, &big).unwrap();
+        assert_eq!(file_checksum(&path).unwrap(), checksum(&big));
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::DiskFile;
 use ct_common::{CtError, Result};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -229,32 +228,34 @@ impl<'a> ExternalSorter<'a> {
         for handle in self.workers.drain(..) {
             join_spill(handle)?;
         }
-        let overlap = self.threads > 1;
+        let prefetch = self.threads > 1;
         let mut readers = Vec::with_capacity(self.runs.len());
         for run in &self.runs {
-            readers.push(if overlap {
-                RunCursor::Prefetch(PrefetchRunReader::new(
-                    run.file.clone(),
-                    self.width,
-                    run.records,
-                )?)
+            let file = run.file.clone();
+            readers.push(if prefetch {
+                RunReader::prefetching(file, self.width, run.records)?
             } else {
-                RunCursor::Direct(RunReader::new(run.file.clone(), self.width, run.records)?)
+                RunReader::new(file, self.width, run.records)?
             });
         }
-        let mut heap = BinaryHeap::with_capacity(readers.len());
+        let mut heads = Vec::with_capacity(readers.len());
         for (i, r) in readers.iter_mut().enumerate() {
-            if let Some(rec) = r.next_record()? {
-                heap.push(HeapEntry::new(rec, i, &self.key_cols));
+            if r.next_record()?.is_some() {
+                heads.push(i);
             }
         }
-        Ok(SortedStream::Merge {
+        let mut merge = Merge {
             readers,
-            heap,
+            heads,
+            returned: false,
             key_cols: self.key_cols,
             stats: self.env.stats().clone(),
             merged: self.env.recorder().counter("storage.sort.merged_records"),
-        })
+        };
+        for i in (0..merge.heads.len() / 2).rev() {
+            merge.sift_down(i);
+        }
+        Ok(SortedStream::Merge(merge))
     }
 }
 
@@ -272,41 +273,24 @@ pub enum SortedStream {
         pos: usize,
     },
     /// K-way merge over spilled runs.
-    Merge {
-        /// One reader per run.
-        readers: Vec<RunCursor>,
-        /// Min-heap of run heads.
-        heap: BinaryHeap<HeapEntry>,
-        /// Sort key.
-        key_cols: Vec<usize>,
-        /// For CPU accounting of merge work.
-        stats: Arc<crate::io::IoStats>,
-        /// Metrics: records emitted by the k-way merge (inert when disabled).
-        merged: ct_obs::Counter,
-    },
+    Merge(Merge),
 }
 
 impl SortedStream {
-    /// Pulls the next record in key order, or `None` at end of stream.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u64>>> {
+    /// Pulls the next record in key order, or `None` at end of stream. The
+    /// slice borrows a buffer the stream reuses, so a merged record costs no
+    /// allocation.
+    pub fn next_record(&mut self) -> Result<Option<&[u64]>> {
         match self {
             SortedStream::InMemory { data, width, pos } => {
-                if *pos * *width >= data.len() {
+                let s = *pos * *width;
+                if s >= data.len() {
                     return Ok(None);
                 }
-                let s = *pos * *width;
                 *pos += 1;
-                Ok(Some(data[s..s + *width].to_vec()))
+                Ok(Some(&data[s..s + *width]))
             }
-            SortedStream::Merge { readers, heap, key_cols, stats, merged } => {
-                let Some(top) = heap.pop() else { return Ok(None) };
-                stats.add_tuples(1);
-                merged.inc();
-                if let Some(next) = readers[top.run].next_record()? {
-                    heap.push(HeapEntry::new(next, top.run, key_cols));
-                }
-                Ok(Some(top.record))
-            }
+            SortedStream::Merge(m) => m.next_record(),
         }
     }
 
@@ -314,42 +298,68 @@ impl SortedStream {
     pub fn collect_all(mut self) -> Result<Vec<Vec<u64>>> {
         let mut out = Vec::new();
         while let Some(r) = self.next_record()? {
-            out.push(r);
+            out.push(r.to_vec());
         }
         Ok(out)
     }
 }
 
-/// A run head in the merge heap. Ordering is inverted (max-heap → min-heap)
-/// and tie-broken by run index for determinism.
-pub struct HeapEntry {
-    key: Vec<u64>,
-    run: usize,
-    record: Vec<u64>,
+/// K-way merge state: one reader per run, each holding its current head
+/// record, and a binary min-heap of the indices of runs that still have a
+/// head. Heads order by [`cmp_records`] on the sort key, ties by run index,
+/// so the output is deterministic (and identical for every worker count).
+pub struct Merge {
+    readers: Vec<RunReader>,
+    /// Heap of run indices; `heads[0]` is the run holding the smallest head.
+    heads: Vec<usize>,
+    /// The root run's head was handed out by the last `next_record` and must
+    /// be advanced before the next one.
+    returned: bool,
+    key_cols: Vec<usize>,
+    /// For CPU accounting of merge work.
+    stats: Arc<crate::io::IoStats>,
+    /// Metrics: records emitted by the k-way merge (inert when disabled).
+    merged: ct_obs::Counter,
 }
 
-impl HeapEntry {
-    fn new(record: Vec<u64>, run: usize, key_cols: &[usize]) -> Self {
-        let key = key_cols.iter().map(|&c| record[c]).collect();
-        HeapEntry { key, run, record }
+impl Merge {
+    /// True if run `a`'s head sorts before run `b`'s.
+    fn less(&self, a: usize, b: usize) -> bool {
+        cmp_records(self.readers[a].current(), self.readers[b].current(), &self.key_cols)
+            .then(a.cmp(&b))
+            == Ordering::Less
     }
-}
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.run == other.run
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heads.len();
+        loop {
+            let mut min = i;
+            for child in [2 * i + 1, 2 * i + 2] {
+                if child < n && self.less(self.heads[child], self.heads[min]) {
+                    min = child;
+                }
+            }
+            if min == i {
+                return;
+            }
+            self.heads.swap(i, min);
+            i = min;
+        }
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we need the smallest key first.
-        other.key.cmp(&self.key).then_with(|| other.run.cmp(&self.run))
+
+    fn next_record(&mut self) -> Result<Option<&[u64]>> {
+        if std::mem::take(&mut self.returned) {
+            // Replace the root by its run's next record, or drop the run.
+            if self.readers[self.heads[0]].next_record()?.is_none() {
+                self.heads.swap_remove(0);
+            }
+            self.sift_down(0);
+        }
+        let Some(&top) = self.heads.first() else { return Ok(None) };
+        self.returned = true;
+        self.stats.add_tuples(1);
+        self.merged.inc();
+        Ok(Some(self.readers[top].current()))
     }
 }
 
@@ -397,53 +407,47 @@ impl RunWriter {
     }
 }
 
-/// One run's record source inside a merge: either read on demand or via a
-/// background prefetcher. Both pull the run's pages in identical sequential
-/// order, so the I/O accounting does not depend on the variant.
-pub enum RunCursor {
-    /// Pages are read in the merge thread when needed.
-    Direct(RunReader),
-    /// Pages are read ahead by a background thread (worker budget > 1).
-    Prefetch(PrefetchRunReader),
-}
-
-impl RunCursor {
-    /// The next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u64>>> {
-        match self {
-            RunCursor::Direct(r) => r.next_record(),
-            RunCursor::Prefetch(r) => r.next_record(),
-        }
-    }
-}
-
-/// How many pages a [`PrefetchRunReader`] may read ahead of the consumer.
+/// How many pages a prefetching [`RunReader`] may read ahead of the
+/// consumer.
 const PREFETCH_DEPTH: usize = 4;
 
-/// A run reader whose page reads are issued by a dedicated background
-/// thread through a bounded channel, overlapping run I/O with merge CPU.
-///
-/// The thread reads the run's pages in the same strictly sequential order
-/// [`RunReader`] would, so per-file access classification is unchanged. If
-/// the reader is dropped before the run is drained the thread stops at the
-/// next send (at most `PREFETCH_DEPTH` pages past the consumed prefix).
-pub struct PrefetchRunReader {
-    rx: Receiver<Result<Page>>,
+/// Where a [`RunReader`] gets its pages: read in the consumer's thread when
+/// needed, or read ahead by a background thread. Both pull the run's pages
+/// in identical sequential order, so the I/O accounting does not depend on
+/// the variant.
+enum PageSource {
+    Direct { file: Arc<DiskFile>, next_pid: u64 },
+    Prefetch(Receiver<Result<Page>>),
+}
+
+/// Sequential reader over a run file written by [`RunWriter`]. The current
+/// record is decoded into a buffer the reader reuses.
+pub struct RunReader {
+    source: PageSource,
     page: Page,
     width: usize,
     per_page: usize,
     in_page: usize,
     remaining: u64,
     loaded: bool,
+    record: Vec<u64>,
 }
 
-impl PrefetchRunReader {
-    /// Starts prefetching `records` records of `width` words from `file`.
+impl RunReader {
+    /// A reader over `records` records of `width` words each.
     pub fn new(file: Arc<DiskFile>, width: usize, records: u64) -> Result<Self> {
-        let per_page = PAGE_SIZE / 8 / width;
-        if per_page == 0 {
-            return Err(CtError::invalid("record wider than a page"));
-        }
+        Self::with_source(PageSource::Direct { file, next_pid: 0 }, width, records)
+    }
+
+    /// Like [`RunReader::new`], but the run's pages are read by a dedicated
+    /// background thread through a bounded channel, overlapping run I/O
+    /// with merge CPU (worker budget > 1). The thread reads in the same
+    /// strictly sequential order, so per-file access classification is
+    /// unchanged. If the reader is dropped before the run is drained the
+    /// thread stops at the next send (at most `PREFETCH_DEPTH` pages past
+    /// the consumed prefix).
+    pub fn prefetching(file: Arc<DiskFile>, width: usize, records: u64) -> Result<Self> {
+        let per_page = records_per_page(width)?;
         let pages = records.div_ceil(per_page as u64);
         let (tx, rx) = sync_channel::<Result<Page>>(PREFETCH_DEPTH);
         std::thread::spawn(move || {
@@ -456,86 +460,59 @@ impl PrefetchRunReader {
                 }
             }
         });
-        Ok(PrefetchRunReader {
-            rx,
-            page: Page::zeroed(),
-            width,
-            per_page,
-            in_page: 0,
-            remaining: records,
-            loaded: false,
-        })
+        Self::with_source(PageSource::Prefetch(rx), width, records)
     }
 
-    /// The next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u64>>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        if !self.loaded || self.in_page == self.per_page {
-            self.page = self
-                .rx
-                .recv()
-                .map_err(|_| CtError::invalid("run prefetch thread exited early"))??;
-            self.in_page = 0;
-            self.loaded = true;
-        }
-        let mut rec = vec![0u64; self.width];
-        self.page.get_u64s(self.in_page * self.width * 8, &mut rec);
-        self.in_page += 1;
-        self.remaining -= 1;
-        Ok(Some(rec))
-    }
-}
-
-/// Sequential reader over a run file written by [`RunWriter`].
-pub struct RunReader {
-    file: Arc<DiskFile>,
-    width: usize,
-    per_page: usize,
-    page: Page,
-    next_pid: u64,
-    in_page: usize,
-    remaining: u64,
-    loaded: bool,
-}
-
-impl RunReader {
-    /// A reader over `records` records of `width` words each.
-    pub fn new(file: Arc<DiskFile>, width: usize, records: u64) -> Result<Self> {
-        let per_page = PAGE_SIZE / 8 / width;
-        if per_page == 0 {
-            return Err(CtError::invalid("record wider than a page"));
-        }
+    fn with_source(source: PageSource, width: usize, records: u64) -> Result<Self> {
         Ok(RunReader {
-            file,
-            width,
-            per_page,
+            source,
             page: Page::zeroed(),
-            next_pid: 0,
+            width,
+            per_page: records_per_page(width)?,
             in_page: 0,
             remaining: records,
             loaded: false,
+            record: vec![0; width],
         })
     }
 
-    /// The next record, or `None` at end of run.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u64>>> {
+    /// Advances to the next record and returns it, or `None` at end of run.
+    pub fn next_record(&mut self) -> Result<Option<&[u64]>> {
         if self.remaining == 0 {
             return Ok(None);
         }
         if !self.loaded || self.in_page == self.per_page {
-            self.file.read_page(PageId(self.next_pid), &mut self.page)?;
-            self.next_pid += 1;
+            match &mut self.source {
+                PageSource::Direct { file, next_pid } => {
+                    file.read_page(PageId(*next_pid), &mut self.page)?;
+                    *next_pid += 1;
+                }
+                PageSource::Prefetch(rx) => {
+                    self.page = rx
+                        .recv()
+                        .map_err(|_| CtError::invalid("run prefetch thread exited early"))??;
+                }
+            }
             self.in_page = 0;
             self.loaded = true;
         }
-        let mut rec = vec![0u64; self.width];
-        self.page.get_u64s(self.in_page * self.width * 8, &mut rec);
+        self.page.get_u64s(self.in_page * self.width * 8, &mut self.record);
         self.in_page += 1;
         self.remaining -= 1;
-        Ok(Some(rec))
+        Ok(Some(&self.record))
     }
+
+    /// The record the last [`RunReader::next_record`] returned.
+    fn current(&self) -> &[u64] {
+        &self.record
+    }
+}
+
+fn records_per_page(width: usize) -> Result<usize> {
+    (PAGE_SIZE / 8)
+        .checked_div(width)
+        .filter(|&n| n > 0)
+        .ok_or_else(|| CtError::invalid("record width must be 1..=1024 words"))
 }
 
 #[cfg(test)]
@@ -688,10 +665,10 @@ mod tests {
         }
         w.finish().unwrap();
         let mut direct = RunReader::new(file.clone(), width, n).unwrap();
-        let mut prefetch = PrefetchRunReader::new(file, width, n).unwrap();
+        let mut prefetch = RunReader::prefetching(file, width, n).unwrap();
         loop {
-            let a = direct.next_record().unwrap();
-            let b = prefetch.next_record().unwrap();
+            let a = direct.next_record().unwrap().map(<[u64]>::to_vec);
+            let b = prefetch.next_record().unwrap().map(<[u64]>::to_vec);
             assert_eq!(a, b);
             if a.is_none() {
                 break;
@@ -710,7 +687,7 @@ mod tests {
             w.push(&[i, i]).unwrap();
         }
         w.finish().unwrap();
-        let mut r = PrefetchRunReader::new(file, width, n).unwrap();
+        let mut r = RunReader::prefetching(file, width, n).unwrap();
         assert!(r.next_record().unwrap().is_some());
         drop(r); // the background thread must unblock and exit
     }

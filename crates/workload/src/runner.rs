@@ -115,7 +115,8 @@ impl BatchStats {
     }
 }
 
-/// FNV-1a over the normalized result rows.
+/// FNV-1a over the normalized result rows. An answer fingerprint, not on
+/// the I/O path: page and manifest sums are `ct_storage::page::checksum`.
 fn checksum_rows(rows: &[QueryRow]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     let mut eat = |v: u64| {

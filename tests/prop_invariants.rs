@@ -295,8 +295,10 @@ proptest! {
         file.read_page(pid, &mut back).unwrap();
         prop_assert_eq!(back.bytes(), &data[..]);
 
-        // FNV-1a is injective per byte position, so flipping any one byte
-        // must change the checksum and fail the next verified read.
+        // A one-byte flip changes exactly one little-endian word. Each
+        // checksum step is injective in its word and bijective in the lane
+        // state, and so is every fold step, so the sum must change and the
+        // next verified read must fail.
         let mut raw = std::fs::read(file.path()).unwrap();
         raw[pos] ^= xor;
         std::fs::write(file.path(), &raw).unwrap();
