@@ -11,9 +11,6 @@ cargo build --release --offline
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 cargo test -q --offline
 cargo test -q --offline --test crash_recovery --test fault_matrix
-# Query-path determinism gate: the scheduled batch engine must answer
-# identically to the sequential loop at every thread count.
-cargo test -q --offline --test parallel_query_equivalence
 # MVCC gate: N reader threads × M refresh cycles; every pinned batch must
 # match exactly one committed generation, and retired generations must be
 # reclaimed once the last pin drops.
@@ -28,19 +25,13 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo clippy --offline -p ct-storage -p ct-rtree --lib -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 cargo run -q --release --offline --example quickstart > /dev/null
-# Parallel query smoke: a scheduled, metrics-enabled Figure 12 run.
+# Query smoke: a metrics-enabled Figure 12 run at a worker budget of 2
+# (queries still run one at a time; tests/parallel_equivalence.rs pins that
+# threads does not change what they cost).
 cargo run -q --release --offline -p ct-bench --bin fig12_queries -- \
   --sf 0.005 --queries 20 --threads 2 --metrics target/fig12_metrics.json > /dev/null
-# Scaling baseline: exits non-zero if the parallel batch reads more pages
-# than the sequential one; target/BENCH_queries.json records wall/I-O/sched
-# stats. 2000 queries, not 200: on bit-packed leaves 200 queries touch about
-# 100 pages, fewer than the 128-page pool holds, so both runs read each page
-# once and the strict gate would compare eviction noise; 2000 leave the pool
-# (about 780 vs 460 pages). Every bench_* step writes under target/: the
-# BENCH_*.json tracked at the root are checked-in results, not something each
-# CI run rewrites.
-cargo run -q --release --offline -p ct-bench --bin bench_queries -- \
-  --sf 0.05 --queries 2000 --threads 4 --json target/BENCH_queries.json > /dev/null
+# Every bench_* step writes under target/: the BENCH_*.json tracked at the
+# root are checked-in results, not something each CI run rewrites.
 # Reader-during-update smoke: queries run concurrently with merge-pack
 # refreshes; exits non-zero on any snapshot-isolation violation.
 cargo run -q --release --offline -p ct-bench --bin bench_mixed -- \

@@ -99,12 +99,12 @@ fn main() {
 
         let before = engine.io_snapshot();
         let t1 = Instant::now();
-        let batch = engine.query_batch(&queries).expect("sharded batch");
+        let answers: Vec<Vec<QueryRow>> = queries
+            .iter()
+            .map(|q| normalize_rows(engine.query(q).expect("sharded query")))
+            .collect();
         let query_secs = t1.elapsed().as_secs_f64();
         let io = engine.io_snapshot().since(&before);
-
-        let answers: Vec<Vec<QueryRow>> =
-            batch.results.into_iter().map(normalize_rows).collect();
         outcomes.push(Outcome {
             shards: n,
             build_secs,

@@ -6,7 +6,7 @@
 //! nodes answered through the big top view.
 
 use ct_bench::experiments::build_engines_or_die;
-use ct_bench::report::{fmt_ratio, fmt_secs, sched_section, Report};
+use ct_bench::report::{fmt_ratio, fmt_secs, Report};
 use ct_bench::BenchArgs;
 use cubetree::engine::RolapEngine;
 use ct_workload::{run_batch, QueryGenerator};
@@ -35,7 +35,6 @@ fn main() {
     };
     // Figure 12 orders views from the top of the lattice down.
     let node_order = [0b111usize, 0b011, 0b101, 0b110, 0b001, 0b010, 0b100];
-    let mut cube_stats = Vec::new();
     for &mask in &node_order {
         let mut generator = QueryGenerator::new(w.catalog(), base.clone(), args.seed + mask as u64);
         let queries = generator.batch_on(mask, args.queries);
@@ -48,9 +47,7 @@ fn main() {
             fmt_ratio(conv.total_sim(), cube.total_sim()),
             (conv.checksum == cube.checksum).to_string(),
         ]);
-        cube_stats.push(cube);
     }
-    sched_section(&mut report, &cube_stats.iter().collect::<Vec<_>>());
     report.emit(args.json.as_deref());
     ct_bench::metrics::emit_metrics_if_requested(
         args.metrics.as_deref(),

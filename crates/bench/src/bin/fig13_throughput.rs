@@ -6,7 +6,7 @@
 //! system low for the Cubetrees implementation."
 
 use ct_bench::experiments::build_engines_or_die;
-use ct_bench::report::{fmt_ratio, sched_section, Report};
+use ct_bench::report::{fmt_ratio, Report};
 use ct_bench::BenchArgs;
 use cubetree::engine::RolapEngine;
 use ct_workload::{run_batch, QueryGenerator};
@@ -60,7 +60,6 @@ fn main() {
         "cubetree min vs conventional max".into(),
         fmt_ratio(cube_min, conv_max),
     ]);
-    sched_section(&mut report, &[&cube]);
     report.emit(args.json.as_deref());
     ct_bench::metrics::emit_metrics_if_requested(
         args.metrics.as_deref(),

@@ -181,43 +181,6 @@ fn print_table(columns: &[String], rows: &[Vec<String>]) {
     }
 }
 
-/// Appends a "query scheduler" section summarizing Cubetree batch-scheduling
-/// statistics across `batches` (one [`ct_workload::BatchStats`] per executed
-/// batch). Batches that ran the sequential path (no scheduler) contribute
-/// nothing; a fully sequential run yields a single zero row, so the section
-/// shape is stable across `--threads` settings.
-pub fn sched_section(report: &mut Report, batches: &[&ct_workload::BatchStats]) {
-    let total_queries: usize = batches.iter().map(|b| b.len()).sum();
-    let mut scheduled = 0u64;
-    let mut groups = 0u64;
-    let mut reordered = 0u64;
-    let mut shared = 0u64;
-    for b in batches {
-        if let Some(s) = b.sched {
-            scheduled += 1;
-            groups += s.groups;
-            reordered += s.reordered;
-            shared += s.shared_scans;
-        }
-    }
-    let frac = if total_queries > 0 {
-        reordered as f64 / total_queries as f64
-    } else {
-        0.0
-    };
-    let s = report.section(
-        "query scheduler (cubetrees)",
-        &["scheduled batches", "tree groups", "reordered", "reordered frac", "shared scans"],
-    );
-    s.row(vec![
-        scheduled.to_string(),
-        groups.to_string(),
-        reordered.to_string(),
-        format!("{frac:.3}"),
-        shared.to_string(),
-    ]);
-}
-
 /// Formats seconds in a human scale (`ms`, `s`, `m`, `h`).
 pub fn fmt_secs(s: f64) -> String {
     if s.is_infinite() {

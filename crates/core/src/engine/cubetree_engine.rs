@@ -1,9 +1,7 @@
 //! The Cubetree storage engine (the paper's proposal).
 
 use crate::delta::{DeltaConfig, DeltaStats};
-use crate::engine::{
-    query_sources, serve_sources, BatchResult, RolapEngine, ServedAnswer, ServingEngine, ViewInfo,
-};
+use crate::engine::{serve_sources, RolapEngine, ServedAnswer, ServingEngine, ViewInfo};
 use crate::forest::{AnswerStamp, CubetreeForest};
 use crate::query::{execute_query_with_delta, plan_generation_query, QuerySource};
 use ct_common::query::QueryRow;
@@ -212,14 +210,6 @@ impl RolapEngine for CubetreeEngine {
     fn query(&self, q: &SliceQuery) -> Result<Vec<QueryRow>> {
         let (pin, delta) = self.forest_ref()?.pin_with_delta();
         execute_query_with_delta(&pin, delta.as_option(), &self.env, &self.catalog, q)
-    }
-
-    /// One pin for the whole batch: it answers from a single generation
-    /// (and one delta snapshot) even if a refresh commits midway.
-    fn query_batch(&self, queries: &[SliceQuery]) -> Result<BatchResult> {
-        let (pin, delta) = self.forest_ref()?.pin_with_delta();
-        let source = QuerySource { gen: &pin, delta: delta.as_option(), env: &self.env };
-        query_sources(&[source], |_, _| true, 1, &self.catalog, queries)
     }
 
     fn update(&mut self, delta: &Relation) -> Result<()> {

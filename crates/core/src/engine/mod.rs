@@ -19,35 +19,11 @@ pub(crate) use cubetree_engine::view_infos;
 
 use crate::delta::{DeltaConfig, DeltaStats};
 use crate::forest::AnswerStamp;
-use crate::query::{execute_query_batch, QuerySource};
-use crate::sched::SchedSummary;
+use crate::query::{execute_queries, QuerySource};
 use ct_common::query::QueryRow;
 use ct_common::{AggFn, Catalog, Result, SliceQuery};
 use ct_cube::Relation;
 use ct_storage::{IoSnapshot, StorageEnv};
-
-/// Results of answering a whole query batch.
-pub struct BatchResult {
-    /// Per-query result rows, positionally aligned with the input batch.
-    pub results: Vec<Vec<QueryRow>>,
-    /// Scheduler statistics, when the engine ran the batch through a
-    /// scheduler (`None` for the sequential fallback).
-    pub sched: Option<SchedSummary>,
-}
-
-/// [`RolapEngine::query_batch`] of both Cubetree engines over their pinned
-/// `sources` (see [`execute_query_batch`]): all or nothing, the first failing
-/// query's error fails the batch.
-pub(crate) fn query_sources(
-    sources: &[QuerySource<'_>],
-    consults: impl Fn(usize, usize) -> bool,
-    threads: usize,
-    catalog: &Catalog,
-    queries: &[SliceQuery],
-) -> Result<BatchResult> {
-    let (results, sched) = execute_query_batch(sources, consults, threads, catalog, queries)?;
-    Ok(BatchResult { results: results.into_iter().collect::<Result<_>>()?, sched })
-}
 
 /// [`ServingEngine::serve_batch`] of both Cubetree engines over their pinned
 /// `sources`; `stamps(i)` are query `i`'s freshness stamps under those pins.
@@ -64,11 +40,11 @@ pub(crate) fn serve_sources(
     stamps: impl Fn(usize) -> Vec<AnswerStamp>,
 ) -> Vec<std::result::Result<ServedAnswer, String>> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_query_batch(sources, consults, threads, catalog, queries)
+        execute_queries(sources, consults, threads, catalog, queries)
     }));
     let whole_batch = |msg: String| queries.iter().map(|_| Err(msg.clone())).collect();
     match outcome {
-        Ok(Ok((results, _))) => results
+        Ok(Ok(results)) => results
             .into_iter()
             .enumerate()
             .map(|(i, rows)| match rows {
@@ -92,16 +68,6 @@ pub trait RolapEngine {
 
     /// Answers one slice query from the materialized views.
     fn query(&self, q: &SliceQuery) -> Result<Vec<QueryRow>>;
-
-    /// Answers a batch of slice queries. The default implementation runs
-    /// [`RolapEngine::query`] sequentially in arrival order; engines may
-    /// override it to schedule and parallelize the batch, as long as the
-    /// per-query results are identical to the sequential loop's.
-    fn query_batch(&self, queries: &[SliceQuery]) -> Result<BatchResult> {
-        let results =
-            queries.iter().map(|q| self.query(q)).collect::<Result<Vec<_>>>()?;
-        Ok(BatchResult { results, sched: None })
-    }
 
     /// Applies a fact-table increment to every materialized view
     /// (each engine's native refresh strategy).
@@ -155,8 +121,8 @@ pub struct ServedAnswer {
     pub stamps: Vec<AnswerStamp>,
 }
 
-/// The engine face the HTTP serving layer binds to: batched reads under
-/// snapshot pins, streaming and bulk writes, delta accounting, and the
+/// The engine face the HTTP serving layer binds to: reads under snapshot
+/// pins, streaming and bulk writes, delta accounting, and the
 /// metrics surface. Object-safe so one server binary can front either the
 /// single [`CubetreeEngine`] or a [`crate::shard::ShardedEngine`] — routes
 /// fan out across shards and merge *before* serialization, transparently to
@@ -184,10 +150,11 @@ pub trait ServingEngine: Send + Sync {
     /// listed under.
     fn views(&self) -> Result<(u64, Vec<ViewInfo>)>;
 
-    /// Executes one batch (the server submits batches of one) under a single
-    /// snapshot per storage environment (one MVCC pin, plus one per shard for
-    /// a sharded engine) and returns the generation stamp with per-query
-    /// outcomes.
+    /// Executes `queries` in arrival order, one in-order scan each, under a
+    /// single snapshot per storage environment (one MVCC pin, plus one per
+    /// shard for a sharded engine) and returns the generation stamp with
+    /// per-query outcomes. The server passes one query; the slice form is
+    /// kept for the `benchmark/` package, which calls it.
     ///
     /// Execution must be panic-isolated: a poisoned query (or batch) comes
     /// back as `Err` strings rather than unwinding into the caller, so the

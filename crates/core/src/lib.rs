@@ -55,7 +55,6 @@ pub mod engine;
 pub mod forest;
 mod jobs;
 pub mod query;
-pub mod sched;
 pub mod select_mapping;
 pub mod shard;
 
@@ -65,6 +64,5 @@ pub use engine::{
     ServedAnswer, ServingEngine, ViewInfo,
 };
 pub use forest::{AnswerStamp, CubetreeForest, Generation, ReaderPin};
-pub use sched::SchedSummary;
 pub use select_mapping::{select_mapping, MappingPlan, TreeSpec};
 pub use shard::{ShardRouter, ShardSpec, ShardedConfig, ShardedEngine};

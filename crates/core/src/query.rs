@@ -12,7 +12,6 @@
 use crate::delta::DeltaSnapshot;
 use crate::forest::{Generation, PlacedView};
 use crate::jobs::map_jobs;
-use crate::sched::{schedule_planned, SchedSummary};
 use ct_common::query::QueryRow;
 use ct_common::{
     AggFn, AggState, AttrId, Catalog, CtError, Hierarchy, Rect, Result, SliceQuery, ViewDef,
@@ -21,10 +20,6 @@ use ct_common::{
 use ct_storage::StorageEnv;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// Leaf pages prefetched ahead of a confirmed sequential sweep in the
-/// batched executor (see [`ct_rtree::PackedRTree::search_with_readahead`]).
-pub const READAHEAD_WINDOW: usize = 8;
 
 /// Streaming group-by aggregator with hierarchy rollup and residual
 /// predicate checking.
@@ -255,7 +250,7 @@ pub fn plan_query_with_entries(
 /// The search region of `q` over a placement with definition `def` in a
 /// `dims`-dimensional tree: direct predicates pin their axis, open
 /// attributes span `[1, COORD_MAX]`, padding axes pin to 0 (paper Figure 4).
-pub(crate) fn query_region(def: &ViewDef, dims: usize, q: &SliceQuery) -> Rect {
+fn query_region(def: &ViewDef, dims: usize, q: &SliceQuery) -> Rect {
     let arity = def.arity();
     let mut lo = vec![0u64; dims];
     let mut hi = vec![0u64; dims];
@@ -337,63 +332,12 @@ impl<'a> PartialAnswer<'a> {
     }
 }
 
-/// The scan unit: one leaf pass over `region` of `placement` feeds every
-/// rider's aggregator (safe because [`RollupAggregator`] re-checks all
-/// predicates), the touched-tuple cost is charged once for the pass, and
-/// each rider then absorbs the resident delta rows for its own query.
-/// `window` is the leaf readahead; 0 is the plain search.
-fn scan<'a>(
-    source: QuerySource<'_>,
-    catalog: &'a Catalog,
-    placement: &PlacedView,
-    region: &Rect,
-    window: usize,
-    riders: &[&SliceQuery],
-) -> Result<Vec<PartialAnswer<'a>>> {
-    let arity = placement.def.arity();
-    let want = placement.def.id.0;
-    let mut aggs = riders
-        .iter()
-        .map(|q| RollupAggregator::new(catalog, &placement.def.projection, q))
-        .collect::<Result<Vec<_>>>()?;
-    let mut touched = 0u64;
-    source.gen.tree(placement.tree).search_with_readahead(region, window, |view, point, state| {
-        touched += 1;
-        if view == want {
-            for agg in &mut aggs {
-                agg.accept(&point.coords()[..arity], state);
-            }
-        }
-        true
-    })?;
-    source.env.stats().add_tuples(touched);
-    let recorder = source.env.recorder();
-    let delta = source.delta.and_then(DeltaSnapshot::as_option);
-    for (q, agg) in riders.iter().zip(&mut aggs) {
-        if recorder.is_enabled() {
-            // Riders of one pass touch the same entries, so per-query metric
-            // values do not depend on how the batch was grouped.
-            recorder.observe("core.query.touched_entries", touched);
-            recorder.add(&format!("core.query.by_view.v{want}"), 1);
-        }
-        if let Some(d) = delta {
-            let (folded, scanned) = delta_aggregator(d, catalog, q)?;
-            agg.absorb(folded);
-            if recorder.is_enabled() {
-                recorder.add("core.query.delta_merged", 1);
-                recorder.observe("core.query.delta_rows", d.groups());
-                recorder.observe("core.query.delta_rows_scanned", scanned);
-            }
-        }
-    }
-    Ok(aggs.into_iter().map(|agg| PartialAnswer { agg, agg_fn: placement.def.agg }).collect())
-}
-
-/// Executes one planned query against one source: its own root "query"
-/// phase (successive queries accumulate under one span whose I/O delta
-/// reconciles against the global counters), no readahead. `env` is charged
-/// the CPU tuple cost of the entries the search touches; delta rows are
-/// in-memory and charge no page I/O.
+/// Executes one planned query against one source: one in-order leaf pass
+/// over the query's region of the planned placement, then the resident
+/// delta rows for `q`, under its own root "query" phase (successive queries
+/// accumulate under one span whose I/O delta reconciles against the global
+/// counters). `env` is charged the CPU tuple cost of the entries the search
+/// touches; delta rows are in-memory and charge no page I/O.
 pub fn execute_planned_query_partial<'a>(
     gen: &Generation,
     delta: Option<&DeltaSnapshot>,
@@ -404,97 +348,57 @@ pub fn execute_planned_query_partial<'a>(
 ) -> Result<PartialAnswer<'a>> {
     let _phase = env.phase("query");
     let placement = &gen.placements()[plan.placement];
-    let region = query_region(&placement.def, gen.tree(placement.tree).dims(), q);
-    scan(QuerySource { gen, delta, env }, catalog, placement, &region, 0, &[q])?
-        .pop()
-        .ok_or_else(|| CtError::invalid("scan left its rider unanswered"))
-}
-
-/// One planned query: its position in the caller's batch, the query, its plan.
-pub(crate) type Planned<'q> = (usize, &'q SliceQuery, &'q ForestPlan);
-
-/// One source's partial answers, tagged with their queries' batch positions,
-/// and what its scheduler did (`None`: the share ran in order).
-type SourceAnswers<'a> = (Vec<(usize, PartialAnswer<'a>)>, Option<SchedSummary>);
-
-/// One outcome per query, positionally aligned, and the summed statistics of
-/// the sources that scheduled (`None` when every share ran in order).
-pub(crate) type BatchAnswers = (Vec<Result<Vec<QueryRow>>>, Option<SchedSummary>);
-
-/// Runs one source's share of a batch and makes the read path's only
-/// sequential-or-scheduled choice. The scheduler is reserved for parallel
-/// environments with something to reorder: at `threads = 1` (or for a batch
-/// of one) the in-order, readahead-free loop is the pinned bit-identical
-/// baseline — rows *and* `IoSnapshot`. Otherwise the share is partitioned
-/// into per-tree groups (see [`crate::sched`]) that run concurrently on the
-/// environment's worker budget, each sweeping its tree's leaf runs in packed
-/// order with readahead, identical neighbours sharing one [`scan`].
-fn execute_on_source<'a>(
-    source: QuerySource<'_>,
-    catalog: &'a Catalog,
-    share: &[Planned<'_>],
-) -> Result<SourceAnswers<'a>> {
-    let QuerySource { gen, delta, env } = source;
-    if !env.parallelism().is_parallel() || share.len() <= 1 {
-        let partials = share
-            .iter()
-            .map(|&(at, q, plan)| {
-                Ok((at, execute_planned_query_partial(gen, delta, env, catalog, q, plan)?))
-            })
-            .collect::<Result<_>>()?;
-        return Ok((partials, None));
-    }
-    // One root "query" phase around the whole share, opened and dropped on
-    // the calling thread so root phases never overlap.
-    let _phase = env.phase("query");
-    let (groups, sched) = schedule_planned(gen, share);
+    let tree = gen.tree(placement.tree);
+    let region = query_region(&placement.def, tree.dims(), q);
+    let arity = placement.def.arity();
+    let want = placement.def.id.0;
+    let mut agg = RollupAggregator::new(catalog, &placement.def.projection, q)?;
+    let mut touched = 0u64;
+    tree.search(&region, |view, point, state| {
+        touched += 1;
+        if view == want {
+            agg.accept(&point.coords()[..arity], state);
+        }
+        true
+    })?;
+    env.stats().add_tuples(touched);
     let recorder = env.recorder();
     if recorder.is_enabled() {
-        recorder.add("query.sched.batches", 1);
-        recorder.add("query.sched.groups", sched.groups);
-        recorder.add("query.sched.reordered", sched.reordered);
-        recorder.add("query.sched.shared_scans", sched.shared_scans);
+        recorder.observe("core.query.touched_entries", touched);
+        recorder.add(&format!("core.query.by_view.v{want}"), 1);
     }
-    let swept = map_jobs(env.parallelism().threads, groups.len(), |g| {
-        let group = &groups[g];
-        // Wall-only span: concurrent groups cannot split the shared I/O
-        // counters, so per-group spans time only.
-        let _span = recorder.span(&format!("query/tree{}", group.tree));
-        let mut answered = Vec::with_capacity(group.queries.len());
-        let mut rest = &group.queries[..];
-        while let Some(first) = rest.first() {
-            let shared = rest.iter().take_while(|sq| sq.same_scan(first)).count();
-            let (unit, tail) = rest.split_at(shared);
-            let riders: Vec<&SliceQuery> = unit.iter().map(|sq| share[sq.index].1).collect();
-            let placement = &gen.placements()[first.placement];
-            let partials =
-                scan(source, catalog, placement, &first.region, READAHEAD_WINDOW, &riders)?;
-            answered.extend(unit.iter().map(|sq| share[sq.index].0).zip(partials));
-            rest = tail;
+    if let Some(d) = delta.and_then(DeltaSnapshot::as_option) {
+        let (folded, scanned) = delta_aggregator(d, catalog, q)?;
+        agg.absorb(folded);
+        if recorder.is_enabled() {
+            recorder.add("core.query.delta_merged", 1);
+            recorder.observe("core.query.delta_rows", d.groups());
+            recorder.observe("core.query.delta_rows_scanned", scanned);
         }
-        Ok(answered)
-    })?;
-    Ok((swept.into_iter().flatten().collect(), Some(sched)))
+    }
+    Ok(PartialAnswer { agg, agg_fn: placement.def.agg })
 }
 
 /// The read path, whole: plan → execute to [`PartialAnswer`]s per source →
-/// gather → finish. "One shard", "no delta", "a batch of one" and
-/// "`threads = 1`" are inputs here, not code paths of their own.
+/// gather → finish. "One shard", "no delta" and "a batch of one" are inputs
+/// here, not code paths of their own; one outcome comes back per query,
+/// positionally aligned.
 ///
 /// Every query is planned once, up front, against entry counts summed over
 /// all sources (see [`plan_query_with_entries`]); a query no view can answer
-/// fails alone. Each source then runs the planned queries that consult it
-/// (`consults(query, source)` — the shard router's pruning; a source nobody
-/// consults is skipped) through [`execute_on_source`], at most `threads`
-/// sources at a time, and the partials merge per query in source order
-/// before one `finish`. An execution error or panic fails the whole batch.
-pub(crate) fn execute_query_batch(
+/// fails alone. Each source then runs, in arrival order and one in-order
+/// scan at a time, the planned queries that consult it (`consults(query,
+/// source)` — the shard router's pruning; a source nobody consults is
+/// skipped). Up to `threads` sources run at once, each charging its own
+/// environment, and the partials merge per query in source order before one
+/// `finish`. An execution error or panic fails the whole batch.
+pub(crate) fn execute_queries(
     sources: &[QuerySource<'_>],
     consults: impl Fn(usize, usize) -> bool,
     threads: usize,
     catalog: &Catalog,
     queries: &[SliceQuery],
-) -> Result<BatchAnswers> {
+) -> Result<Vec<Result<Vec<QueryRow>>>> {
     let first = sources.first().ok_or_else(|| CtError::invalid("a batch needs a source"))?;
     let plans: Vec<Result<ForestPlan>> = queries
         .iter()
@@ -503,36 +407,31 @@ pub(crate) fn execute_query_batch(
             plan_query_with_entries(first.gen.placements(), entries_of, catalog, q)
         })
         .collect();
-    let planned: Vec<Planned<'_>> = plans
-        .iter()
-        .enumerate()
-        .filter_map(|(at, plan)| Some((at, &queries[at], plan.as_ref().ok()?)))
-        .collect();
-    let shares: Vec<(usize, Vec<Planned<'_>>)> = (0..sources.len())
+    let planned: Vec<(usize, &ForestPlan)> =
+        plans.iter().enumerate().filter_map(|(at, plan)| Some((at, plan.as_ref().ok()?))).collect();
+    let shares: Vec<(usize, Vec<(usize, &ForestPlan)>)> = (0..sources.len())
         .map(|s| (s, planned.iter().copied().filter(|p| consults(p.0, s)).collect::<Vec<_>>()))
         .filter(|(_, share)| !share.is_empty())
         .collect();
     let executed = map_jobs(threads, shares.len(), |k| {
         let (s, share) = &shares[k];
-        execute_on_source(sources[*s], catalog, share)
+        let QuerySource { gen, delta, env } = sources[*s];
+        share
+            .iter()
+            .map(|&(at, plan)| {
+                let q = &queries[at];
+                Ok((at, execute_planned_query_partial(gen, delta, env, catalog, q, plan)?))
+            })
+            .collect::<Result<Vec<_>>>()
     })?;
     // Timed only where there is something to merge and someone to read it.
     let recorder = first.env.recorder();
     let gather_start = (sources.len() > 1 && recorder.is_enabled()).then(Instant::now);
     let mut merged: Vec<Option<PartialAnswer<'_>>> = queries.iter().map(|_| None).collect();
-    let mut sched: Option<SchedSummary> = None;
-    for (partials, swept) in executed {
-        if let Some(s) = swept {
-            let total = sched.get_or_insert_with(SchedSummary::default);
-            total.groups += s.groups;
-            total.reordered += s.reordered;
-            total.shared_scans += s.shared_scans;
-        }
-        for (at, part) in partials {
-            match &mut merged[at] {
-                None => merged[at] = Some(part),
-                Some(m) => m.absorb(part),
-            }
+    for (at, part) in executed.into_iter().flatten() {
+        match &mut merged[at] {
+            None => merged[at] = Some(part),
+            Some(m) => m.absorb(part),
         }
     }
     let results = plans
@@ -546,7 +445,7 @@ pub(crate) fn execute_query_batch(
     if let Some(start) = gather_start {
         recorder.observe("shard.gather_us", start.elapsed().as_micros() as u64);
     }
-    Ok((results, sched))
+    Ok(results)
 }
 
 /// Plans and executes one query against one pinned generation, merging the
@@ -562,8 +461,8 @@ pub fn execute_query_with_delta(
     q: &SliceQuery,
 ) -> Result<Vec<QueryRow>> {
     let source = QuerySource { gen, delta, env };
-    let (mut results, _) =
-        execute_query_batch(&[source], |_, _| true, 1, catalog, std::slice::from_ref(q))?;
+    let mut results =
+        execute_queries(&[source], |_, _| true, 1, catalog, std::slice::from_ref(q))?;
     results.pop().unwrap_or_else(|| Err(CtError::invalid("batch of one left no answer")))
 }
 

@@ -12,7 +12,7 @@
 //! partial per-shard answers are merged
 //! ([`crate::query::PartialAnswer::absorb`]) before a single finalization —
 //! the shards are simply the sources of the one read path
-//! (`crate::query::execute_query_batch`).
+//! (`crate::query::execute_queries`).
 //!
 //! Because every aggregate state is mergeable (COUNT/SUM/MIN/MAX compose;
 //! AVG is finalized from SUM+COUNT only after the gather), the merged answer
@@ -23,12 +23,12 @@
 
 use crate::delta::{DeltaConfig, DeltaSnapshot, DeltaStats};
 use crate::engine::{
-    query_sources, serve_sources, BatchResult, CubetreeConfig, CubetreeEngine, RolapEngine,
-    ServedAnswer, ServingEngine, ViewInfo,
+    serve_sources, CubetreeConfig, CubetreeEngine, RolapEngine, ServedAnswer, ServingEngine,
+    ViewInfo,
 };
 use crate::forest::{AnswerStamp, CubetreeForest, ReaderPin};
 use crate::jobs::{map_jobs, run_jobs, Job};
-use crate::query::QuerySource;
+use crate::query::{execute_queries, QuerySource};
 use ct_common::query::QueryRow;
 use ct_common::{AttrId, Catalog, CtError, Result, SliceQuery};
 use ct_cube::Relation;
@@ -633,18 +633,17 @@ impl RolapEngine for ShardedEngine {
         run_jobs(self.outer_threads, jobs)
     }
 
+    /// Routes the query, pins every shard once, then each owning shard
+    /// scans under that pin and the partial answers gather.
     fn query(&self, q: &SliceQuery) -> Result<Vec<QueryRow>> {
-        let mut batch = self.query_batch(std::slice::from_ref(q))?;
-        batch.results.pop().ok_or_else(|| CtError::invalid("batch of one left no answer"))
-    }
-
-    /// Routes every query up front, pins every shard once, then each owning
-    /// shard runs its share of the batch under that pin.
-    fn query_batch(&self, queries: &[SliceQuery]) -> Result<BatchResult> {
         let pins = self.pin_all()?;
+        let queries = std::slice::from_ref(q);
         let targets = self.route(queries);
-        let consults = |query: usize, shard: usize| targets[query].contains(&shard);
-        query_sources(&self.sources(&pins), consults, self.outer_threads, &self.catalog, queries)
+        let consults = |_, shard: usize| targets[0].contains(&shard);
+        let sources = self.sources(&pins);
+        let mut results =
+            execute_queries(&sources, consults, self.outer_threads, &self.catalog, queries)?;
+        results.pop().unwrap_or_else(|| Err(CtError::invalid("batch of one left no answer")))
     }
 
     fn update(&mut self, delta: &Relation) -> Result<()> {
@@ -708,8 +707,8 @@ impl ServingEngine for ShardedEngine {
         Ok((ShardedEngine::generation(self), views.unwrap_or_default()))
     }
 
-    /// [`RolapEngine::query_batch`] with freshness stamps. The generation
-    /// stamp is summed from the per-shard pins the batch executed under —
+    /// [`RolapEngine::query`] over a batch, with freshness stamps. The
+    /// generation stamp is summed from the per-shard pins the batch executed under —
     /// never from a separate pre-execution read, so a refresh committing
     /// between stamp and execution cannot mislabel the snapshot (the
     /// unsharded engine stamps from its pin the same way).

@@ -42,22 +42,6 @@ thread_local! {
     static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
-/// Leaf-run readahead state threaded through one search.
-///
-/// A leaf-parent's intersecting children ([`Scratch::children`]) are exactly
-/// the pages depth-first order visits next, so the search keeps up to
-/// `window` of the not-yet-read ones resident via batched pool prefetch and
-/// never prefetches a page it will not consume.
-struct ReadAhead {
-    /// Max pages to keep prefetched ahead of the sweep cursor; 0 disables.
-    window: usize,
-    /// `children[pos..end]`: the current leaf-parent's unvisited leaves.
-    pos: usize,
-    end: usize,
-    /// Children below this index are covered by an issued prefetch.
-    fetched: usize,
-}
-
 /// Size/shape statistics for reports and the storage-comparison experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TreeStats {
@@ -137,34 +121,14 @@ impl PackedRTree {
     pub fn search(
         &self,
         region: &Rect,
-        f: impl FnMut(u32, &Point, &AggState) -> bool,
-    ) -> Result<()> {
-        self.search_with_readahead(region, 0, f)
-    }
-
-    /// Like [`PackedRTree::search`], prefetching ahead of the leaf sweep.
-    ///
-    /// Each leaf-parent internal node names the exact ascending set of leaf
-    /// pages the search will visit beneath it, so readahead pulls in up to
-    /// `window` of those pages with one batched read per contiguous pid run
-    /// ([`BufferPool::prefetch_run`]) — random leaf I/O becomes near-
-    /// sequential sweeps, and no page is ever prefetched that the search
-    /// will not consume. Pages of other views (or internal pages) are never
-    /// touched: they are not children of the leaf-parents the region
-    /// intersects. `window == 0` is exactly `search`.
-    pub fn search_with_readahead(
-        &self,
-        region: &Rect,
-        window: usize,
         mut f: impl FnMut(u32, &Point, &AggState) -> bool,
     ) -> Result<()> {
         if region.dims() != self.meta.dims {
             return Err(CtError::invalid("query region dimensionality mismatch"));
         }
         let mut cx = SCRATCH.take();
-        let mut ra = ReadAhead { window, pos: 0, end: 0, fetched: 0 };
         let root = PageId(self.meta.root);
-        let done = self.search_node(root, self.meta.height, region, &mut ra, &mut cx, &mut f);
+        let done = self.search_node(root, self.meta.height, region, &mut cx, &mut f);
         cx.children.clear();
         SCRATCH.set(cx);
         done.map(|_| ())
@@ -180,18 +144,11 @@ impl PackedRTree {
         pid: PageId,
         level: u32,
         region: &Rect,
-        ra: &mut ReadAhead,
         cx: &mut Scratch,
         f: &mut impl FnMut(u32, &Point, &AggState) -> bool,
     ) -> Result<bool> {
         if level <= 1 {
             let leaf = self.visit_leaf(pid, Some(region), cx)?;
-            if ra.window > 0 {
-                if cx.children.get(ra.pos) == Some(&pid.0) {
-                    ra.pos += 1;
-                }
-                self.top_up_readahead(&cx.children, ra)?;
-            }
             for row in cx.rows.chunks_exact(leaf.width()) {
                 let (point, state) = leaf.entry(row, self.meta.dims)?;
                 if !f(leaf.view, &point, &state) {
@@ -204,18 +161,10 @@ impl PackedRTree {
         self.pool.with_page(self.fid, pid, |p| {
             intersecting_children(p, self.meta.dims, region, &mut cx.children)
         })??;
-        if ra.window > 0 && level == 2 {
-            // The depth-first search visits exactly these leaves next.
-            // Packed construction emits children in ascending page order,
-            // but sort defensively — the contiguous-run grouping relies on it.
-            cx.children[frame..].sort_unstable();
-            (ra.pos, ra.end, ra.fetched) = (frame, cx.children.len(), frame);
-            self.top_up_readahead(&cx.children, ra)?;
-        }
         let mut more = true;
         let mut i = frame;
         while more && i < cx.children.len() {
-            more = self.search_node(PageId(cx.children[i]), level - 1, region, ra, cx, f)?;
+            more = self.search_node(PageId(cx.children[i]), level - 1, region, cx, f)?;
             i += 1;
         }
         cx.children.truncate(frame);
@@ -238,23 +187,6 @@ impl PackedRTree {
             }
             Ok(leaf.head)
         })?
-    }
-
-    /// Issues prefetch for upcoming leaves through `pos + window`, batching
-    /// contiguous pid runs into single pool requests.
-    fn top_up_readahead(&self, children: &[u64], ra: &mut ReadAhead) -> Result<()> {
-        let target = (ra.pos + ra.window).min(ra.end);
-        ra.fetched = ra.fetched.max(ra.pos);
-        while ra.fetched < target {
-            let mut last = ra.fetched;
-            while last + 1 < target && children[last + 1] == children[last] + 1 {
-                last += 1;
-            }
-            let start = PageId(children[ra.fetched]);
-            self.pool.prefetch_run(self.fid, start, last - ra.fetched + 1)?;
-            ra.fetched = last + 1;
-        }
-        Ok(())
     }
 
     /// Sequential scanner over the full tree in packed order (used by
@@ -580,153 +512,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(n, 3);
-    }
-
-    /// A two-view tree big enough that each view spans several leaves, built
-    /// in its own environment so I/O deltas are isolated.
-    fn two_view_tree(env: &StorageEnv) -> PackedRTree {
-        let fid = env.create_file("two").unwrap();
-        let mut b = TreeBuilder::new(
-            env.pool().clone(),
-            fid,
-            2,
-            vec![sum_view(1, 1), sum_view(2, 2)],
-            LeafFormat::Compressed,
-        )
-        .unwrap();
-        for x in 1..=20_000u64 {
-            b.push(1, Point::new(&[x], 2), &AggState::from_measure(x as i64)).unwrap();
-        }
-        for y in 1..=60u64 {
-            for x in 1..=100u64 {
-                b.push(2, Point::new(&[x, y], 2), &AggState::from_measure(1)).unwrap();
-            }
-        }
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn readahead_matches_plain_search_results() {
-        let env = StorageEnv::new("rtree-ra-eq").unwrap();
-        let t = two_view_tree(&env);
-        let mut plain = Vec::new();
-        t.search(&Rect::new(&[1, 0], &[COORD_MAX, 0]), |v, p, s| {
-            plain.push((v, p.coord(0), s.sum));
-            true
-        })
-        .unwrap();
-        let mut ra = Vec::new();
-        t.search_with_readahead(&Rect::new(&[1, 0], &[COORD_MAX, 0]), 8, |v, p, s| {
-            ra.push((v, p.coord(0), s.sum));
-            true
-        })
-        .unwrap();
-        assert_eq!(plain, ra);
-        assert_eq!(ra.len(), 20_000);
-    }
-
-    #[test]
-    fn readahead_never_crosses_the_view_run_boundary() {
-        let env = StorageEnv::new("rtree-ra-bound").unwrap();
-        let t = two_view_tree(&env);
-        let (_, ext_a) = t.view_extent(1).unwrap();
-        let run_a = ext_a.last_leaf - ext_a.first_leaf + 1;
-        assert!(run_a >= 4, "view 1 must span several leaves");
-        env.pool().flush_all().unwrap();
-
-        // Reopen through a cold pool over the same file so every page the
-        // search touches is a physical read we can count.
-        let cold = env.new_private_pool(4096);
-        let file = env.pool().file(t.file_id()).unwrap();
-        let cold_fid = cold.register(file);
-        let t2 = PackedRTree::open(cold.clone(), cold_fid).unwrap();
-        let before = env.snapshot();
-        // Full sweep of view 1 with a window far larger than the run tail.
-        let mut n = 0u64;
-        t2.search_with_readahead(&Rect::new(&[1, 0], &[COORD_MAX, 0]), 64, |_, _, _| {
-            n += 1;
-            true
-        })
-        .unwrap();
-        let d = env.snapshot().since(&before);
-        assert_eq!(n, 20_000);
-        let internal = t2.stats().internal_pages + 1; // + meta page
-        // Every page read is view 1's run or an internal/meta page: the
-        // window clamped at last_leaf instead of spilling into view 2.
-        assert!(
-            d.seq_reads + d.rand_reads <= run_a + internal,
-            "readahead leaked past the view boundary: {} reads for a {}-leaf run + {} internals",
-            d.seq_reads + d.rand_reads,
-            run_a,
-            internal
-        );
-    }
-
-    #[test]
-    fn readahead_clamps_when_run_ends_mid_window() {
-        let env = StorageEnv::new("rtree-ra-short").unwrap();
-        // Single short view: a couple of leaves, window much larger.
-        let fid = env.create_file("short").unwrap();
-        let mut b = TreeBuilder::new(
-            env.pool().clone(),
-            fid,
-            2,
-            vec![sum_view(1, 1)],
-            LeafFormat::Compressed,
-        )
-        .unwrap();
-        for x in 1..=900u64 {
-            b.push(1, Point::new(&[x], 2), &AggState::from_measure(1)).unwrap();
-        }
-        let t = b.finish().unwrap();
-        let (_, ext) = t.view_extent(1).unwrap();
-        let run = ext.last_leaf - ext.first_leaf + 1;
-        env.pool().flush_all().unwrap();
-
-        let cold = env.new_private_pool(4096);
-        let file = env.pool().file(fid).unwrap();
-        let cold_fid = cold.register(file);
-        let t2 = PackedRTree::open(cold.clone(), cold_fid).unwrap();
-        let before = env.snapshot();
-        let mut n = 0u64;
-        t2.search_with_readahead(&Rect::new(&[1, 0], &[COORD_MAX, 0]), 1000, |_, _, _| {
-            n += 1;
-            true
-        })
-        .unwrap();
-        let d = env.snapshot().since(&before);
-        assert_eq!(n, 900);
-        let total_pages = run + t2.stats().internal_pages + 1;
-        assert!(
-            d.seq_reads + d.rand_reads <= total_pages,
-            "window overshot the end of the file/run: {} reads, {} pages total",
-            d.seq_reads + d.rand_reads,
-            total_pages
-        );
-    }
-
-    #[test]
-    fn zero_window_readahead_is_plain_search() {
-        let env = StorageEnv::new("rtree-ra-zero").unwrap();
-        let t = paper_tree(&env, LeafFormat::Compressed);
-        let before = env.snapshot();
-        let mut a = Vec::new();
-        t.search_with_readahead(&Rect::new(&[1, 1], &[COORD_MAX, 1]), 0, |v, p, s| {
-            a.push((v, p.coord(0), s.sum));
-            true
-        })
-        .unwrap();
-        let d_ra = env.snapshot().since(&before);
-        let before = env.snapshot();
-        let mut b = Vec::new();
-        t.search(&Rect::new(&[1, 1], &[COORD_MAX, 1]), |v, p, s| {
-            b.push((v, p.coord(0), s.sum));
-            true
-        })
-        .unwrap();
-        let d_plain = env.snapshot().since(&before);
-        assert_eq!(a, b);
-        assert_eq!(d_ra, d_plain, "window 0 must be I/O-identical to search()");
     }
 
     #[test]

@@ -304,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_error_releases_depth_capacity() {
+    fn planning_error_releases_depth_capacity() {
         let engine = tiny_engine(1);
         let recorder = engine.env().recorder().clone();
         let admission = Admission::start(engine.clone(), AdmissionConfig::default(), None);

@@ -1,5 +1,4 @@
-//! A sharded clock (second-chance) buffer pool shared by all storage
-//! structures.
+//! A clock (second-chance) buffer pool shared by all storage structures.
 //!
 //! The pool's job in this reproduction mirrors its role in the paper's
 //! analysis (§2.4): the probability that the top levels of every index stay
@@ -8,25 +7,13 @@
 //! eviction and on [`BufferPool::flush_all`]; reads absorbed by the pool are
 //! counted as buffer hits rather than physical I/O.
 //!
-//! The pool is safe to share across threads. Frames are partitioned into
-//! shards by a hash of `(file, page)`; each shard is an independent clock
-//! behind its own mutex, so concurrent readers of different pages rarely
-//! contend on one latch. Page callbacks run under the owning shard's lock
-//! (so they must not re-enter the pool). A single-shard pool (the default
-//! from [`BufferPool::new`]) behaves exactly like the historical global
-//! clock, which is what the deterministic `threads=1` contract relies on.
-//! For *deterministic* counter totals under the parallel build pipeline,
-//! concurrent jobs use private single-shard pools (see
+//! The pool is safe to share across threads: one clock behind one mutex.
+//! Page callbacks run under that lock (so they must not re-enter the pool).
+//! Queries run one at a time, so the shared pool sees one access sequence
+//! whatever the worker budget. For *deterministic* counter totals under the
+//! parallel build pipeline, concurrent jobs use private pools (see
 //! `StorageEnv::new_private_pool`) rather than interleaving evictions in a
 //! shared one.
-//!
-//! Readahead ([`BufferPool::prefetch_run`]) installs pages *cold*: a
-//! prefetched frame carries no reference bit, so the first clock sweep may
-//! reclaim it before any demand-fetched page loses its second chance (scan
-//! resistance). Consuming a prefetched page for the first time counts as
-//! neither a buffer hit nor a new physical read — the batched read charged
-//! at prefetch time stands as that access — so readahead cannot inflate the
-//! measured hit rate.
 
 use crate::io::IoStats;
 use crate::page::{Page, PageId};
@@ -42,8 +29,6 @@ struct Frame {
     page: Page,
     dirty: bool,
     referenced: bool,
-    /// Installed by readahead and not yet consumed by any caller.
-    prefetched: bool,
     occupied: bool,
 }
 
@@ -54,42 +39,36 @@ impl Frame {
             page: Page::zeroed(),
             dirty: false,
             referenced: false,
-            prefetched: false,
             occupied: false,
         }
     }
 }
 
-/// One independent clock over a slice of the pool's frames.
-struct Shard {
+/// The frames, the page table and the clock hand.
+struct Clock {
     frames: Vec<Frame>,
     map: HashMap<(u32, u64), usize>,
     hand: usize,
 }
 
-/// Fixed-capacity page cache with second-chance replacement, sharded by
-/// `(file, page)` hash.
+/// Fixed-capacity page cache with second-chance replacement.
 ///
-/// Lock order: a shard lock may be taken while no other shard of the same
-/// pool is held, and the file-table lock may be taken *under* a shard lock
-/// (write-back during eviction) but never the other way around.
+/// Lock order: the file-table lock may be taken *under* the clock lock
+/// (write-back during eviction) but never the other way around, and
+/// [`BufferPool::absorb_clean`] takes the target's clock under the source's
+/// (a private job pool's, never the target itself).
 pub struct BufferPool {
     files: Mutex<Vec<Option<Arc<DiskFile>>>>,
-    shards: Vec<Mutex<Shard>>,
+    clock: Mutex<Clock>,
     capacity: usize,
     stats: Arc<IoStats>,
     recorder: Recorder,
     evictions: ct_obs::Counter,
     writebacks: ct_obs::Counter,
-    prefetch_pages: ct_obs::Counter,
-    prefetch_batches: ct_obs::Counter,
-    prefetch_used: ct_obs::Counter,
-    prefetch_wasted: ct_obs::Counter,
 }
 
 impl BufferPool {
-    /// A single-shard pool holding at most `capacity` pages, with metrics
-    /// disabled.
+    /// A pool holding at most `capacity` pages, with metrics disabled.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -97,57 +76,27 @@ impl BufferPool {
         Self::with_recorder(capacity, stats, Recorder::disabled())
     }
 
-    /// Like [`BufferPool::new`], reporting evictions, dirty write-backs and
-    /// prefetch activity to `recorder` (`storage.buffer.evictions`,
-    /// `storage.buffer.writebacks`, `storage.buffer.prefetch.*`).
+    /// Like [`BufferPool::new`], reporting evictions and dirty write-backs
+    /// to `recorder` (`storage.buffer.evictions`, `storage.buffer.writebacks`).
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_recorder(capacity: usize, stats: Arc<IoStats>, recorder: Recorder) -> Self {
-        Self::with_shards(capacity, 1, stats, recorder)
-    }
-
-    /// A pool whose frames are split across `shards` independent clocks.
-    /// The shard count is clamped to `1..=capacity`; capacity is divided as
-    /// evenly as possible, low shards taking the remainder.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_shards(
-        capacity: usize,
-        shards: usize,
-        stats: Arc<IoStats>,
-        recorder: Recorder,
-    ) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        let shards = shards.clamp(1, capacity);
-        let mut shard_vec = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let frames = capacity / shards + usize::from(s < capacity % shards);
-            shard_vec.push(Mutex::new(Shard {
-                frames: (0..frames).map(|_| Frame::empty()).collect(),
-                map: HashMap::new(),
-                hand: 0,
-            }));
-        }
         let evictions = recorder.counter("storage.buffer.evictions");
         let writebacks = recorder.counter("storage.buffer.writebacks");
-        let prefetch_pages = recorder.counter("storage.buffer.prefetch.pages");
-        let prefetch_batches = recorder.counter("storage.buffer.prefetch.batches");
-        let prefetch_used = recorder.counter("storage.buffer.prefetch.used");
-        let prefetch_wasted = recorder.counter("storage.buffer.prefetch.wasted");
         BufferPool {
             files: Mutex::new(Vec::new()),
-            shards: shard_vec,
+            clock: Mutex::new(Clock {
+                frames: (0..capacity).map(|_| Frame::empty()).collect(),
+                map: HashMap::new(),
+                hand: 0,
+            }),
             capacity,
             stats,
             recorder,
             evictions,
             writebacks,
-            prefetch_pages,
-            prefetch_batches,
-            prefetch_used,
-            prefetch_wasted,
         }
     }
 
@@ -181,37 +130,18 @@ impl BufferPool {
             .ok_or_else(|| CtError::invalid("file was removed from the pool"))
     }
 
-    /// Pool capacity in pages, summed over shards.
+    /// Pool capacity in pages.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of independent clock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning page `(fid, pid)`. A single-shard pool short-circuits
-    /// so the hash never perturbs the historical layout.
-    fn shard_of(&self, fid: u32, pid: u64) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        // splitmix64-style finalizer over the combined key.
-        let mut x = pid ^ ((fid as u64) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        (x % self.shards.len() as u64) as usize
     }
 
     /// Runs `f` over an immutable view of page `(fid, pid)`, faulting it in
     /// if needed.
     pub fn with_page<R>(&self, fid: FileId, pid: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        let mut shard = self.shards[self.shard_of(fid.0, pid.0)].lock();
-        let idx = self.fault_in(&mut shard, fid, pid)?;
-        shard.frames[idx].referenced = true;
-        Ok(f(&shard.frames[idx].page))
+        let mut clock = self.clock.lock();
+        let idx = self.fault_in(&mut clock, fid, pid)?;
+        clock.frames[idx].referenced = true;
+        Ok(f(&clock.frames[idx].page))
     }
 
     /// Runs `f` over a mutable view of page `(fid, pid)`, marking it dirty.
@@ -221,9 +151,9 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R> {
-        let mut shard = self.shards[self.shard_of(fid.0, pid.0)].lock();
-        let idx = self.fault_in(&mut shard, fid, pid)?;
-        let frame = &mut shard.frames[idx];
+        let mut clock = self.clock.lock();
+        let idx = self.fault_in(&mut clock, fid, pid)?;
+        let frame = &mut clock.frames[idx];
         frame.referenced = true;
         frame.dirty = true;
         Ok(f(&mut frame.page))
@@ -234,98 +164,24 @@ impl BufferPool {
     pub fn new_page(&self, fid: FileId) -> Result<PageId> {
         let file = self.file(fid)?;
         let pid = file.allocate();
-        let mut shard = self.shards[self.shard_of(fid.0, pid.0)].lock();
-        let idx = self.find_victim(&mut shard)?;
-        let frame = &mut shard.frames[idx];
+        let mut clock = self.clock.lock();
+        let idx = self.find_victim(&mut clock)?;
+        let frame = &mut clock.frames[idx];
         frame.key = (fid.0, pid.0);
         frame.page.clear();
         frame.dirty = true;
         frame.referenced = true;
-        frame.prefetched = false;
         frame.occupied = true;
-        shard.map.insert((fid.0, pid.0), idx);
+        clock.map.insert((fid.0, pid.0), idx);
         Ok(pid)
     }
 
-    /// Issues readahead for up to `count` pages of `fid` starting at
-    /// `start`, returning how many were newly installed.
-    ///
-    /// Pages already resident are skipped; each maximal run of missing pages
-    /// is fetched with one batched [`DiskFile::read_pages`] call (one seek,
-    /// then sequential transfers). Installed frames are *cold* — no
-    /// reference bit, `prefetched` set — so an un-consumed prefetch is the
-    /// first thing its shard's clock reclaims, and its first consumption is
-    /// accounted to the batched read rather than as a buffer hit.
-    ///
-    /// The window is clamped to the file's allocated length; callers clamp
-    /// it to logical boundaries (a view's leaf run) themselves.
-    pub fn prefetch_run(&self, fid: FileId, start: PageId, count: usize) -> Result<usize> {
-        if count == 0 {
-            return Ok(0);
-        }
-        let file = self.file(fid)?;
-        let end = (start.0.saturating_add(count as u64)).min(file.page_count());
-        if start.0 >= end {
-            return Ok(0);
-        }
-        // Probe residency one shard lock at a time; a racing install between
-        // the probe and ours is tolerated below.
-        let mut missing: Vec<u64> = Vec::with_capacity((end - start.0) as usize);
-        for pid in start.0..end {
-            let shard = self.shards[self.shard_of(fid.0, pid)].lock();
-            if !shard.map.contains_key(&(fid.0, pid)) {
-                missing.push(pid);
-            }
-        }
-        let mut installed = 0usize;
-        let mut i = 0;
-        'runs: while i < missing.len() {
-            let mut j = i + 1;
-            while j < missing.len() && missing[j] == missing[j - 1] + 1 {
-                j += 1;
-            }
-            let run_start = missing[i];
-            let run_len = j - i;
-            let mut pages: Vec<Page> = (0..run_len).map(|_| Page::zeroed()).collect();
-            file.read_pages(PageId(run_start), &mut pages)?;
-            self.prefetch_batches.inc();
-            for (k, page) in pages.into_iter().enumerate() {
-                let pid = run_start + k as u64;
-                let mut shard = self.shards[self.shard_of(fid.0, pid)].lock();
-                if file.is_doomed() {
-                    // The file was removed between our batched read and this
-                    // install; installing now would plant a frame the removal
-                    // sweep can no longer see.
-                    break 'runs;
-                }
-                if shard.map.contains_key(&(fid.0, pid)) {
-                    continue; // raced in by a demand read; keep that copy
-                }
-                let idx = self.find_victim(&mut shard)?;
-                let frame = &mut shard.frames[idx];
-                frame.key = (fid.0, pid);
-                frame.page = page;
-                frame.dirty = false;
-                frame.referenced = false;
-                frame.prefetched = true;
-                frame.occupied = true;
-                shard.map.insert((fid.0, pid), idx);
-                installed += 1;
-            }
-            i = j;
-        }
-        self.prefetch_pages.add(installed as u64);
-        Ok(installed)
-    }
-
-    /// Writes every dirty frame back to its file, shard by shard in order.
+    /// Writes every dirty frame back to its file, in frame order.
     pub fn flush_all(&self) -> Result<()> {
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for i in 0..shard.frames.len() {
-                if shard.frames[i].occupied && shard.frames[i].dirty {
-                    self.write_back(&mut shard, i)?;
-                }
+        let mut clock = self.clock.lock();
+        for i in 0..clock.frames.len() {
+            if clock.frames[i].occupied && clock.frames[i].dirty {
+                self.write_back(&mut clock, i)?;
             }
         }
         Ok(())
@@ -342,10 +198,10 @@ impl BufferPool {
     ///
     /// Ordering matters: the handle is taken out of the file table and
     /// doomed *before* the frame sweep. Every install path (demand fault,
-    /// `new_page`, prefetch) resolves the handle first, so once the slot is
-    /// empty no new frame for this id can slip in behind the sweep — the
-    /// stale-frame hazard where a later registration reusing the id would
-    /// resurrect a dead file's cached pages.
+    /// `new_page`) resolves the handle first, so once the slot is empty no
+    /// new frame for this id can slip in behind the sweep — the stale-frame
+    /// hazard where a later registration reusing the id would resurrect a
+    /// dead file's cached pages.
     pub fn remove_file(&self, fid: FileId) -> Result<()> {
         let file = {
             let mut files = self.files.lock();
@@ -354,28 +210,19 @@ impl BufferPool {
                 .and_then(|f| f.take())
                 .ok_or_else(|| CtError::invalid("file already removed"))?
         };
-        // Doom before sweeping: an install racing on an already-resolved
-        // handle either fails its read or observes the flag and backs off,
-        // so the sweep below is exhaustive.
+        // Doom before sweeping: a handle some caller already resolved now
+        // fails every read and write instead of reviving the file.
         file.doom();
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for i in 0..shard.frames.len() {
-                if shard.frames[i].occupied && shard.frames[i].key.0 == fid.0 {
-                    let key = shard.frames[i].key;
-                    shard.map.remove(&key);
-                    shard.frames[i].occupied = false;
-                    shard.frames[i].dirty = false;
-                    if shard.frames[i].prefetched {
-                        // Discarded before its first consumption: balance the
-                        // batched read charged at prefetch time as wasted,
-                        // exactly like a clock eviction would.
-                        shard.frames[i].prefetched = false;
-                        self.prefetch_wasted.inc();
-                    }
-                }
+        let mut clock = self.clock.lock();
+        for i in 0..clock.frames.len() {
+            if clock.frames[i].occupied && clock.frames[i].key.0 == fid.0 {
+                let key = clock.frames[i].key;
+                clock.map.remove(&key);
+                clock.frames[i].occupied = false;
+                clock.frames[i].dirty = false;
             }
         }
+        drop(clock);
         if Arc::strong_count(&file) > 1 {
             Ok(())
         } else {
@@ -384,53 +231,40 @@ impl BufferPool {
     }
 
     /// Adopts `from`'s cached pages of `from_fid` into this pool under
-    /// `to_fid`, in `from`'s shard-then-frame order, leaving this pool as
-    /// warm as if it had produced those pages itself. Pages are installed
-    /// clean — the caller must have flushed `from` first — so no I/O is
-    /// charged beyond any dirty victims this pool evicts to make room.
-    /// Called from one thread at a time per target pool to keep the cache
-    /// state deterministic.
+    /// `to_fid`, in `from`'s frame order, leaving this pool as warm as if it
+    /// had produced those pages itself. Pages are installed clean — the
+    /// caller must have flushed `from` first — so no I/O is charged beyond
+    /// any dirty victims this pool evicts to make room. Called from one
+    /// thread at a time per target pool to keep the cache state
+    /// deterministic.
     pub fn absorb_clean(&self, from: &BufferPool, from_fid: FileId, to_fid: FileId) -> Result<()> {
         if self.files.lock().get(to_fid.0 as usize).and_then(|f| f.as_ref()).is_none() {
             return Err(CtError::invalid("absorbing into a removed file"));
         }
-        for src_shard in &from.shards {
-            let src = src_shard.lock();
-            for i in 0..src.frames.len() {
-                let f = &src.frames[i];
-                if !f.occupied || f.key.0 != from_fid.0 {
-                    continue;
-                }
-                if f.dirty {
-                    return Err(CtError::invalid("absorb_clean requires a flushed source pool"));
-                }
-                let key = (to_fid.0, f.key.1);
-                let mut dst = self.shards[self.shard_of(key.0, key.1)].lock();
-                let idx = match dst.map.get(&key) {
-                    Some(&idx) => {
-                        // Overwriting a resident prefetched copy retires it
-                        // without a first consumption: balance its batched
-                        // read as wasted or the prefetch books never close.
-                        if dst.frames[idx].prefetched {
-                            dst.frames[idx].prefetched = false;
-                            self.prefetch_wasted.inc();
-                        }
-                        idx
-                    }
-                    None => {
-                        let idx = self.find_victim(&mut dst)?;
-                        dst.map.insert(key, idx);
-                        idx
-                    }
-                };
-                let frame = &mut dst.frames[idx];
-                frame.key = key;
-                frame.page.bytes_mut().copy_from_slice(src.frames[i].page.bytes());
-                frame.dirty = false;
-                frame.referenced = true;
-                frame.prefetched = false;
-                frame.occupied = true;
+        let src = from.clock.lock();
+        let mut dst = self.clock.lock();
+        for f in &src.frames {
+            if !f.occupied || f.key.0 != from_fid.0 {
+                continue;
             }
+            if f.dirty {
+                return Err(CtError::invalid("absorb_clean requires a flushed source pool"));
+            }
+            let key = (to_fid.0, f.key.1);
+            let idx = match dst.map.get(&key) {
+                Some(&idx) => idx,
+                None => {
+                    let idx = self.find_victim(&mut dst)?;
+                    dst.map.insert(key, idx);
+                    idx
+                }
+            };
+            let frame = &mut dst.frames[idx];
+            frame.key = key;
+            frame.page.bytes_mut().copy_from_slice(f.page.bytes());
+            frame.dirty = false;
+            frame.referenced = true;
+            frame.occupied = true;
         }
         Ok(())
     }
@@ -440,77 +274,59 @@ impl BufferPool {
         self.files.lock().iter().flatten().map(|f| f.size_bytes()).sum()
     }
 
-    fn fault_in(&self, shard: &mut Shard, fid: FileId, pid: PageId) -> Result<usize> {
-        if let Some(&idx) = shard.map.get(&(fid.0, pid.0)) {
-            let frame = &mut shard.frames[idx];
-            if frame.prefetched {
-                // First consumption of a readahead page: the physical read
-                // was charged when the prefetch issued, so this access is
-                // neither a hit nor a new read.
-                frame.prefetched = false;
-                self.prefetch_used.inc();
-            } else {
-                self.stats.record_buffer_hit();
-            }
+    fn fault_in(&self, clock: &mut Clock, fid: FileId, pid: PageId) -> Result<usize> {
+        if let Some(&idx) = clock.map.get(&(fid.0, pid.0)) {
+            self.stats.record_buffer_hit();
             return Ok(idx);
         }
         let file = self.file(fid)?;
-        let idx = self.find_victim(shard)?;
+        let idx = self.find_victim(clock)?;
         // Read into the frame (the pager records the physical read).
-        file.read_page(pid, &mut shard.frames[idx].page)?;
-        let frame = &mut shard.frames[idx];
+        file.read_page(pid, &mut clock.frames[idx].page)?;
+        let frame = &mut clock.frames[idx];
         frame.key = (fid.0, pid.0);
         frame.dirty = false;
         frame.referenced = true;
-        frame.prefetched = false;
         frame.occupied = true;
-        shard.map.insert((fid.0, pid.0), idx);
+        clock.map.insert((fid.0, pid.0), idx);
         Ok(idx)
     }
 
-    /// Second-chance scan of one shard for a frame to reuse; writes back the
-    /// victim if dirty. Prefetched frames carry no reference bit, so they go
-    /// before any demand-fetched page loses its second chance.
-    fn find_victim(&self, shard: &mut Shard) -> Result<usize> {
-        let n = shard.frames.len();
-        if n == 0 {
-            return Err(CtError::invalid("buffer pool shard has no frames"));
-        }
+    /// Second-chance scan for a frame to reuse; writes back the victim if
+    /// dirty.
+    fn find_victim(&self, clock: &mut Clock) -> Result<usize> {
+        let n = clock.frames.len();
         // Two full sweeps guarantee progress: the first clears referenced
         // bits, the second must find a victim.
         for _ in 0..(2 * n + 1) {
-            let i = shard.hand;
-            shard.hand = (shard.hand + 1) % n;
-            if !shard.frames[i].occupied {
+            let i = clock.hand;
+            clock.hand = (clock.hand + 1) % n;
+            if !clock.frames[i].occupied {
                 return Ok(i);
             }
-            if shard.frames[i].referenced {
-                shard.frames[i].referenced = false;
+            if clock.frames[i].referenced {
+                clock.frames[i].referenced = false;
                 continue;
             }
-            if shard.frames[i].dirty {
-                self.write_back(shard, i)?;
+            if clock.frames[i].dirty {
+                self.write_back(clock, i)?;
             }
-            let key = shard.frames[i].key;
-            shard.map.remove(&key);
-            if shard.frames[i].prefetched {
-                shard.frames[i].prefetched = false;
-                self.prefetch_wasted.inc();
-            }
-            shard.frames[i].occupied = false;
+            let key = clock.frames[i].key;
+            clock.map.remove(&key);
+            clock.frames[i].occupied = false;
             self.evictions.inc();
             return Ok(i);
         }
         Err(CtError::invalid("buffer pool could not find a victim frame"))
     }
 
-    fn write_back(&self, shard: &mut Shard, idx: usize) -> Result<()> {
-        let (fid, pid) = shard.frames[idx].key;
+    fn write_back(&self, clock: &mut Clock, idx: usize) -> Result<()> {
+        let (fid, pid) = clock.frames[idx].key;
         let file = self
             .file(FileId(fid))
             .map_err(|_| CtError::corrupt("dirty frame for removed file"))?;
-        file.write_page(PageId(pid), &shard.frames[idx].page)?;
-        shard.frames[idx].dirty = false;
+        file.write_page(PageId(pid), &clock.frames[idx].page)?;
+        clock.frames[idx].dirty = false;
         self.writebacks.inc();
         Ok(())
     }
@@ -762,278 +578,3 @@ mod more_tests {
     }
 }
 
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-    use crate::env::TempDir;
-
-    fn sharded(capacity: usize, shards: usize) -> (TempDir, Arc<IoStats>, BufferPool, FileId) {
-        let dir = TempDir::new("buffer-shard").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let pool = BufferPool::with_shards(capacity, shards, stats.clone(), Recorder::disabled());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let fid = pool.register(file);
-        (dir, stats, pool, fid)
-    }
-
-    #[test]
-    fn shard_count_is_clamped_to_capacity() {
-        let (_d, _s, pool, _f) = sharded(3, 64);
-        assert_eq!(pool.shard_count(), 3);
-        let frames: usize = pool.shards.iter().map(|s| s.lock().frames.len()).sum();
-        assert_eq!(frames, 3, "every frame lands in exactly one shard");
-    }
-
-    #[test]
-    fn sharded_pool_round_trips_values() {
-        let (_d, _s, pool, fid) = sharded(16, 4);
-        let mut pids = Vec::new();
-        for i in 0..100u64 {
-            let pid = pool.new_page(fid).unwrap();
-            pool.with_page_mut(fid, pid, |p| p.put_u64(0, i * 3)).unwrap();
-            pids.push(pid);
-        }
-        for (i, pid) in pids.iter().enumerate() {
-            pool.with_page(fid, *pid, |p| assert_eq!(p.get_u64(0), i as u64 * 3)).unwrap();
-        }
-    }
-
-    #[test]
-    fn sharded_pool_concurrent_readers() {
-        let dir = TempDir::new("buffer-shard-mt").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let pool =
-            Arc::new(BufferPool::with_shards(64, 8, stats.clone(), Recorder::disabled()));
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let fid = pool.register(file);
-        let mut pids = Vec::new();
-        for i in 0..40u64 {
-            let pid = pool.new_page(fid).unwrap();
-            pool.with_page_mut(fid, pid, |p| p.put_u64(0, i)).unwrap();
-            pids.push(pid);
-        }
-        pool.flush_all().unwrap();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let pool = pool.clone();
-                let pids = pids.clone();
-                s.spawn(move || {
-                    for (i, pid) in pids.iter().enumerate() {
-                        pool.with_page(fid, *pid, |p| assert_eq!(p.get_u64(0), i as u64))
-                            .unwrap();
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn prefetch_accounting_hit_rate_not_inflated() {
-        // Write pages through one pool, then open a second pool over the
-        // same file so nothing is resident when the prefetch issues.
-        let dir = TempDir::new("buffer-prefetch").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let writer = BufferPool::new(16, stats.clone());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let wfid = writer.register(file.clone());
-        for i in 0..8u64 {
-            let pid = writer.new_page(wfid).unwrap();
-            writer.with_page_mut(wfid, pid, |p| p.put_u64(0, i + 1)).unwrap();
-        }
-        writer.flush_all().unwrap();
-
-        let reader = BufferPool::with_shards(16, 4, stats.clone(), Recorder::disabled());
-        let rfid = reader.register(file);
-        let before = stats.snapshot();
-        let installed = reader.prefetch_run(rfid, PageId(0), 8).unwrap();
-        assert_eq!(installed, 8);
-        let after_prefetch = stats.snapshot().since(&before);
-        // One batched read: first page classified, the other 7 sequential;
-        // and crucially zero buffer hits at install time.
-        assert_eq!(after_prefetch.seq_reads + after_prefetch.rand_reads, 8);
-        assert_eq!(after_prefetch.buffer_hits, 0);
-
-        // First consumption: no hit, no new read (the batched read stands).
-        let mid = stats.snapshot();
-        for (i, pid) in (0..8u64).enumerate() {
-            reader.with_page(rfid, PageId(pid), |p| assert_eq!(p.get_u64(0), i as u64 + 1))
-                .unwrap();
-        }
-        let first_use = stats.snapshot().since(&mid);
-        assert_eq!(first_use.seq_reads + first_use.rand_reads, 0);
-        assert_eq!(first_use.buffer_hits, 0, "prefetch must not inflate the hit rate");
-
-        // Second consumption is an ordinary buffer hit.
-        let mid2 = stats.snapshot();
-        for pid in 0..8u64 {
-            reader.with_page(rfid, PageId(pid), |_| ()).unwrap();
-        }
-        let second_use = stats.snapshot().since(&mid2);
-        assert_eq!(second_use.buffer_hits, 8);
-    }
-
-    #[test]
-    fn prefetch_is_clamped_to_file_length_and_skips_resident_pages() {
-        let dir = TempDir::new("buffer-prefetch-clamp").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let pool = BufferPool::with_shards(16, 2, stats.clone(), Recorder::disabled());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let fid = pool.register(file);
-        for _ in 0..4u64 {
-            pool.new_page(fid).unwrap();
-        }
-        pool.flush_all().unwrap();
-        // Pages 0..4 are resident: nothing to fetch, window past EOF clamps.
-        assert_eq!(pool.prefetch_run(fid, PageId(0), 100).unwrap(), 0);
-        assert_eq!(pool.prefetch_run(fid, PageId(4), 8).unwrap(), 0, "starts at EOF");
-        assert_eq!(pool.prefetch_run(fid, PageId(0), 0).unwrap(), 0, "empty window");
-        let d = stats.snapshot();
-        assert_eq!(d.seq_reads + d.rand_reads, 0, "no physical reads for resident pages");
-    }
-
-    #[test]
-    fn prefetched_frames_are_evicted_before_referenced_ones() {
-        // Capacity 4, one shard: fill with 2 referenced pages + prefetch 2.
-        let dir = TempDir::new("buffer-scanres").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let writer = BufferPool::new(8, stats.clone());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let wfid = writer.register(file.clone());
-        for i in 0..8u64 {
-            let pid = writer.new_page(wfid).unwrap();
-            writer.with_page_mut(wfid, pid, |p| p.put_u64(0, i)).unwrap();
-        }
-        writer.flush_all().unwrap();
-
-        let pool = BufferPool::with_shards(4, 1, stats.clone(), Recorder::disabled());
-        let fid = pool.register(file);
-        // Demand-fetch pages 0 and 1 (referenced), prefetch 2 and 3 (cold).
-        pool.with_page(fid, PageId(0), |_| ()).unwrap();
-        pool.with_page(fid, PageId(1), |_| ()).unwrap();
-        assert_eq!(pool.prefetch_run(fid, PageId(2), 2).unwrap(), 2);
-        // Faulting two more pages must evict the two cold prefetched frames,
-        // leaving the referenced pages resident.
-        pool.with_page(fid, PageId(4), |_| ()).unwrap();
-        pool.with_page(fid, PageId(5), |_| ()).unwrap();
-        let before = stats.snapshot();
-        pool.with_page(fid, PageId(0), |_| ()).unwrap();
-        pool.with_page(fid, PageId(1), |_| ()).unwrap();
-        let d = stats.snapshot().since(&before);
-        assert_eq!(d.buffer_hits, 2, "referenced pages survived the scan");
-        assert_eq!(d.seq_reads + d.rand_reads, 0);
-    }
-
-    #[test]
-    fn single_shard_pool_reports_one_shard() {
-        let (_d, _s, pool, _f) = sharded(8, 1);
-        assert_eq!(pool.shard_count(), 1);
-    }
-
-    fn prefetch_counts(r: &Recorder) -> (u64, u64, u64) {
-        (
-            r.counter("storage.buffer.prefetch.pages").get(),
-            r.counter("storage.buffer.prefetch.used").get(),
-            r.counter("storage.buffer.prefetch.wasted").get(),
-        )
-    }
-
-    #[test]
-    fn prefetch_books_balance_under_memory_pressure_and_removal() {
-        // Every installed prefetch must eventually be accounted used or
-        // wasted — including frames evicted before first consumption and
-        // frames discarded by `remove_file` — or the Σ phase-io
-        // reconciliation drifts under memory pressure.
-        let dir = TempDir::new("buffer-prefetch-balance").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let writer = BufferPool::new(16, stats.clone());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let wfid = writer.register(file.clone());
-        for i in 0..12u64 {
-            let pid = writer.new_page(wfid).unwrap();
-            writer.with_page_mut(wfid, pid, |p| p.put_u64(0, i)).unwrap();
-        }
-        writer.flush_all().unwrap();
-
-        let recorder = Recorder::enabled();
-        let pool = BufferPool::with_shards(4, 1, stats.clone(), recorder.clone());
-        let fid = pool.register(file);
-        // 12 prefetched pages through a 4-frame pool: most are evicted by
-        // later installs before anything consumes them.
-        assert_eq!(pool.prefetch_run(fid, PageId(0), 12).unwrap(), 12);
-        let (pages, used, wasted) = prefetch_counts(&recorder);
-        assert_eq!(pages, 12);
-        // Four frames are still resident-and-cold; everything else must
-        // already be accounted as wasted by the install-time evictions.
-        assert_eq!(pages, used + wasted + 4);
-        // Consume everything, resident tail first (those are first uses),
-        // then the evicted head (demand faults that push out any remaining
-        // cold frames).
-        for pid in (0..12u64).rev() {
-            pool.with_page(fid, PageId(pid), |_| ()).unwrap();
-        }
-        let (pages, used, wasted) = prefetch_counts(&recorder);
-        assert_eq!(pages, used + wasted);
-        assert!(used > 0, "the resident tail was consumed");
-        // Refill with cold prefetched frames, then drop the file under them.
-        let refetched = pool.prefetch_run(fid, PageId(4), 4).unwrap();
-        assert!(refetched > 0, "consumed pages were evicted and re-fetchable");
-        pool.remove_file(fid).unwrap();
-        let (pages, used, wasted) = prefetch_counts(&recorder);
-        assert_eq!(pages, used + wasted, "removal must waste un-consumed prefetches");
-    }
-
-    #[test]
-    fn absorb_overwriting_a_prefetched_frame_counts_it_wasted() {
-        let dir = TempDir::new("buffer-absorb-prefetch").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let recorder = Recorder::enabled();
-        let main = BufferPool::with_shards(8, 1, stats.clone(), recorder.clone());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let main_fid = main.register(file.clone());
-        let job = BufferPool::new(8, stats.clone());
-        let job_fid = job.register(file);
-        for i in 0..3u64 {
-            let pid = job.new_page(job_fid).unwrap();
-            job.with_page_mut(job_fid, pid, |p| p.put_u64(0, i)).unwrap();
-        }
-        job.flush_all().unwrap();
-        // The main pool prefetches the same pages, then absorbs the job's
-        // warm copies over them before any consumption.
-        assert_eq!(main.prefetch_run(main_fid, PageId(0), 3).unwrap(), 3);
-        main.absorb_clean(&job, job_fid, main_fid).unwrap();
-        let (pages, used, wasted) = prefetch_counts(&recorder);
-        assert_eq!((pages, used, wasted), (3, 0, 3), "absorb retired the prefetched copies");
-        // A subsequent consumption is an ordinary buffer hit on the
-        // absorbed (referenced) frame, not a prefetch first-use.
-        let before = stats.snapshot();
-        main.with_page(main_fid, PageId(0), |_| ()).unwrap();
-        assert_eq!(stats.snapshot().since(&before).buffer_hits, 1);
-    }
-
-    #[test]
-    fn prefetch_install_backs_off_once_the_file_is_doomed() {
-        // A prefetch whose batched read succeeded before removal must not
-        // plant frames after the removal sweep ran: with the handle doomed,
-        // installation stops (deterministic stand-in for the concurrent
-        // interleaving).
-        let dir = TempDir::new("buffer-prefetch-doomed").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let pool = BufferPool::with_shards(8, 1, stats.clone(), Recorder::disabled());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let fid = pool.register(file.clone());
-        for _ in 0..4 {
-            let pid = pool.new_page(fid).unwrap();
-            pool.with_page_mut(fid, pid, |p| p.put_u64(0, 1)).unwrap();
-        }
-        pool.flush_all().unwrap();
-        pool.remove_file(fid).unwrap();
-        // The id is gone from the table, so the pool path errors cleanly...
-        assert!(pool.prefetch_run(fid, PageId(0), 4).is_err());
-        // ...and every shard is verifiably empty of the dead file's frames.
-        for shard in &pool.shards {
-            let shard = shard.lock();
-            assert!(shard.map.keys().all(|k| k.0 != fid.0));
-        }
-        drop(file);
-    }
-}

@@ -92,10 +92,13 @@ impl EnvDir {
 ///
 /// `threads = 1` is the fully sequential legacy pipeline. Larger values let
 /// the external sorter overlap run generation with input consumption, the
-/// k-way merge prefetch run pages, and the forest build/refresh dispatch one
-/// job per Cubetree. The simulated-I/O totals are identical for every value:
-/// each worker touches its own files in the same per-file page order the
-/// sequential pipeline would, and the counters aggregate atomically.
+/// k-way merge prefetch run pages, the forest build/refresh dispatch one
+/// job per Cubetree, and a sharded engine fan a query out to its shards.
+/// The simulated-I/O totals are identical for every value, for builds,
+/// refreshes and queries alike: each worker touches its own files in the
+/// same per-file page order the sequential pipeline would, the counters
+/// aggregate atomically, and a query is one in-order scan on the caller's
+/// thread through one shared clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Parallelism {
     /// Number of worker threads (clamped to at least 1).
@@ -112,11 +115,6 @@ impl Parallelism {
     /// A budget of `threads` workers (zero is treated as one).
     pub fn new(threads: usize) -> Self {
         Parallelism { threads: threads.max(1) }
-    }
-
-    /// True when more than one worker is allowed.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
     }
 }
 
@@ -252,25 +250,7 @@ impl StorageEnv {
         next_seq: u64,
     ) -> Self {
         let stats = Arc::new(IoStats::new());
-        // A sequential environment keeps the historical single-shard clock
-        // (the `threads=1` determinism contract depends on it); a parallel
-        // one spreads frames over up to 8 shards so concurrent query workers
-        // do not serialize on one latch. Sharding is also gated on capacity:
-        // a small pool split many ways loses effective capacity to hash
-        // imbalance (the hottest shard evicts while others sit idle), which
-        // costs more than the latch it saves — keep >= 256 frames per shard.
-        let shards = if parallelism.is_parallel() {
-            parallelism.threads.min(8).min((pool_pages / 256).max(1))
-        } else {
-            1
-        };
-        let pool = Arc::new(BufferPool::with_shards(
-            pool_pages,
-            shards,
-            stats.clone(),
-            recorder.clone(),
-        ));
-        recorder.gauge_set("storage.buffer.shards", shards as f64);
+        let pool = Arc::new(BufferPool::with_recorder(pool_pages, stats.clone(), recorder.clone()));
         faults.attach_recorder(&recorder);
         let manifest_commits = recorder.counter("storage.manifest.commits");
         StorageEnv {
@@ -667,9 +647,8 @@ mod tests {
     #[test]
     fn parallelism_defaults_and_clamps() {
         assert_eq!(Parallelism::default().threads, 1);
-        assert!(!Parallelism::default().is_parallel());
         assert_eq!(Parallelism::new(0).threads, 1);
-        assert!(Parallelism::new(4).is_parallel());
+        assert_eq!(Parallelism::new(4).threads, 4);
         let env = StorageEnv::new("env-par").unwrap();
         assert_eq!(env.parallelism().threads, 1);
         let env = StorageEnv::with_config_parallel(

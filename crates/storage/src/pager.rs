@@ -173,65 +173,6 @@ impl DiskFile {
         }
     }
 
-    /// Reads the `bufs.len()` consecutive pages starting at `start` with a
-    /// single seek — the batched-read path behind buffer-pool readahead.
-    ///
-    /// The first page is classified against the previous read position
-    /// exactly like [`DiskFile::read_page`]; the remaining pages are
-    /// sequential by construction, so a batch converts what would have been
-    /// `bufs.len()` independently classified accesses into one seek plus a
-    /// sequential run. Every page's checksum is verified (or recorded on
-    /// first observation) as in `read_page`.
-    pub fn read_pages(&self, start: PageId, bufs: &mut [Page]) -> Result<()> {
-        if bufs.is_empty() {
-            return Ok(());
-        }
-        self.check_live("read")?;
-        let last = start.0 + bufs.len() as u64 - 1;
-        if last >= self.page_count() {
-            return Err(CtError::invalid(format!(
-                "read past end of file: pages {}..={} of {}",
-                start.0,
-                last,
-                self.page_count()
-            )));
-        }
-        let prev = self.last_read.swap(last, Ordering::Relaxed);
-        let sequential = prev != NO_PREV && (start.0 == prev + 1 || start.0 == prev);
-        self.stats.record_read(sequential);
-        for _ in 1..bufs.len() {
-            self.stats.record_read(true);
-        }
-        {
-            let mut f = self.file.lock();
-            f.seek(SeekFrom::Start(start.byte_offset()))?;
-            for page in bufs.iter_mut() {
-                // Short reads of the sparse tail zero-fill, page by page.
-                let n = read_up_to(&mut f, page.bytes_mut())?;
-                page.bytes_mut()[n..].fill(0);
-            }
-        }
-        let mut sums = self.sums.lock();
-        if sums.len() <= last as usize {
-            sums.resize(last as usize + 1, None);
-        }
-        for (k, page) in bufs.iter().enumerate() {
-            let pid = start.0 as usize + k;
-            let got = page.checksum();
-            match sums[pid] {
-                Some(want) if want != got => {
-                    return Err(CtError::corrupt(format!(
-                        "page checksum mismatch on {} page {pid} (want {want:016x}, got {got:016x})",
-                        self.path.display()
-                    )))
-                }
-                Some(_) => {}
-                None => sums[pid] = Some(got),
-            }
-        }
-        Ok(())
-    }
-
     /// Writes `page` at `pid`, recording a sequential or random write and
     /// the page's checksum for later read verification. An armed
     /// [`FaultPlan`] may fail the write before any byte reaches the file.

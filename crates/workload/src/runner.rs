@@ -1,18 +1,14 @@
 //! Batch query execution and measurement.
 //!
-//! [`run_batch`] executes through the engine's batch interface when the
-//! engine's environment has a parallel worker budget — the Cubetree engine
-//! then schedules the batch (per-tree groups, packed-order sweeps, shared
-//! scans; see `cubetree::sched`) — and falls back to the historical
-//! query-at-a-time loop otherwise, keeping `threads = 1` measurements
-//! bit-identical to previous releases.
+//! [`run_batch`] runs a batch one query at a time, as the paper's Figure 13
+//! dispatches it, and measures each query on its own. Every worker budget
+//! takes the same loop, so the measurements do not depend on `threads`.
 
 use ct_common::query::QueryRow;
 use ct_common::stats::percentile_nearest_rank;
 use ct_common::{CtError, Result, SliceQuery};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
 use cubetree::query::execute_query_with_delta;
-use cubetree::SchedSummary;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -40,9 +36,6 @@ pub struct BatchStats {
     /// An order-insensitive checksum over all result rows, for verifying
     /// that two engines returned identical answers.
     pub checksum: u64,
-    /// Scheduler statistics when the engine ran the batch through its
-    /// scheduler (`None` for the sequential path).
-    pub sched: Option<SchedSummary>,
 }
 
 impl BatchStats {
@@ -133,13 +126,9 @@ fn checksum_rows(rows: &[QueryRow]) -> u64 {
     h
 }
 
-/// Executes `queries` against `engine`, collecting wall-clock and
-/// simulated-time statistics plus a result checksum.
-///
-/// With a parallel worker budget the whole batch goes through
-/// [`RolapEngine::query_batch`] once (the Cubetree engine schedules it) and
-/// the measured wall/simulated time is apportioned uniformly across the
-/// queries; at `threads = 1` the historical per-query loop runs unchanged.
+/// Executes `queries` against `engine` one at a time, in order, collecting
+/// per-query wall-clock and simulated-time statistics plus a result
+/// checksum.
 pub fn run_batch(engine: &dyn RolapEngine, queries: &[SliceQuery]) -> Result<BatchStats> {
     let mut stats = BatchStats::default();
     let model = *engine.env().cost_model();
@@ -151,49 +140,21 @@ pub fn run_batch(engine: &dyn RolapEngine, queries: &[SliceQuery]) -> Result<Bat
     // One sort scratch reused across the whole batch instead of a fresh
     // clone + allocation per query.
     let mut scratch: Vec<QueryRow> = Vec::new();
-    let eat = |rows: &[QueryRow], scratch: &mut Vec<QueryRow>| {
-        scratch.clear();
-        scratch.extend_from_slice(rows);
-        scratch.sort_by(|a, b| a.key.cmp(&b.key));
-        checksum_rows(scratch)
-    };
-    if engine.env().parallelism().is_parallel() && queries.len() > 1 {
+    for q in queries {
         let before = engine.env().snapshot();
         let t0 = Instant::now();
-        let batch = engine.query_batch(queries)?;
+        let rows = engine.query(q)?;
         let wall = t0.elapsed().as_secs_f64();
         let delta = engine.env().snapshot().since(&before);
         let sim = delta.simulated_seconds(&model);
-        // Queries ran interleaved across workers; per-query timings are not
-        // individually observable, so apportion the batch cost uniformly.
-        let n = queries.len() as f64;
-        let (wall_q, sim_q) = (wall / n, sim / n);
-        for rows in &batch.results {
-            wall_hist.record((wall_q * 1e6) as u64);
-            sim_hist.record((sim_q * 1e6) as u64);
-            rows_hist.record(rows.len() as u64);
-            checksum = checksum.wrapping_add(eat(rows, &mut scratch));
-            stats.queries.push(QueryStat {
-                wall_secs: wall_q,
-                sim_secs: sim_q,
-                rows: rows.len(),
-            });
-        }
-        stats.sched = batch.sched;
-    } else {
-        for q in queries {
-            let before = engine.env().snapshot();
-            let t0 = Instant::now();
-            let rows = engine.query(q)?;
-            let wall = t0.elapsed().as_secs_f64();
-            let delta = engine.env().snapshot().since(&before);
-            let sim = delta.simulated_seconds(&model);
-            wall_hist.record((wall * 1e6) as u64);
-            sim_hist.record((sim * 1e6) as u64);
-            rows_hist.record(rows.len() as u64);
-            checksum = checksum.wrapping_add(eat(&rows, &mut scratch));
-            stats.queries.push(QueryStat { wall_secs: wall, sim_secs: sim, rows: rows.len() });
-        }
+        wall_hist.record((wall * 1e6) as u64);
+        sim_hist.record((sim * 1e6) as u64);
+        rows_hist.record(rows.len() as u64);
+        scratch.clear();
+        scratch.extend_from_slice(&rows);
+        scratch.sort_by(|a, b| a.key.cmp(&b.key));
+        checksum = checksum.wrapping_add(checksum_rows(&scratch));
+        stats.queries.push(QueryStat { wall_secs: wall, sim_secs: sim, rows: rows.len() });
     }
     stats.checksum = checksum;
     Ok(stats)
@@ -397,7 +358,6 @@ mod tests {
         assert_eq!(stats.avg_throughput_sim(), 0.0);
         assert_eq!(stats.percentile_wall(50.0), 0.0);
         assert_eq!(stats.percentile_sim(99.0), 0.0);
-        assert!(stats.sched.is_none());
     }
 
     #[test]
@@ -450,37 +410,5 @@ mod tests {
         // The pacing guarantees every committed generation was pinned.
         assert_eq!(stats.generations_seen, vec![0, 1, 2, 3]);
         assert!(stats.reads >= 9);
-    }
-
-    /// The parallel dispatch path must produce the same checksum and row
-    /// counts as the sequential loop, and expose scheduler statistics.
-    #[test]
-    fn parallel_batch_matches_sequential_loop() {
-        let w = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.002, seed: 7 });
-        let fact = w.generate_fact();
-        let setup = paper_configs(&w);
-        let mut seq = CubetreeEngine::new(w.catalog().clone(), setup.cubetree.clone()).unwrap();
-        seq.load(&fact).unwrap();
-        let mut par = CubetreeEngine::new(
-            w.catalog().clone(),
-            setup.cubetree.clone().with_threads(4),
-        )
-        .unwrap();
-        par.load(&fact).unwrap();
-
-        let a = w.attrs();
-        let mut generator =
-            QueryGenerator::new(w.catalog(), vec![a.partkey, a.suppkey, a.custkey], 9);
-        let queries = generator.batch(40);
-        let s1 = run_batch(&seq, &queries).unwrap();
-        let s2 = run_batch(&par, &queries).unwrap();
-        assert_eq!(s1.checksum, s2.checksum);
-        assert_eq!(
-            s1.queries.iter().map(|q| q.rows).collect::<Vec<_>>(),
-            s2.queries.iter().map(|q| q.rows).collect::<Vec<_>>(),
-        );
-        assert!(s1.sched.is_none(), "threads=1 must take the sequential path");
-        let sched = s2.sched.expect("parallel path must report scheduler stats");
-        assert!(sched.groups > 0);
     }
 }

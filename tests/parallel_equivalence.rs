@@ -1,13 +1,16 @@
-//! The parallel sort→pack pipeline must be a pure wall-clock optimization:
-//! for any worker-thread budget the packed trees are byte-identical and the
-//! simulated-I/O accounting is identical to the sequential pipeline. These
-//! tests pin that contract end to end through the engine (load and refresh),
-//! plus the structural invariant parallel packing must not break — each
-//! view's entries stay contiguous inside its tree.
+//! The worker-thread budget must be a pure wall-clock knob: for any budget
+//! the packed trees are byte-identical and the simulated-I/O accounting is
+//! identical to the sequential pipeline. These tests pin that contract end
+//! to end through the engine (load, refresh and queries), plus the
+//! structural invariant parallel packing must not break — each view's
+//! entries stay contiguous inside its tree.
 
-use cubetrees_repro::common::AggFn;
+use cubetrees_repro::common::query::normalize_rows;
+use cubetrees_repro::common::{AggFn, AttrId};
+use cubetrees_repro::core::ServingEngine;
+use cubetrees_repro::workload::{run_batch, QueryGenerator};
 use cubetrees_repro::{
-    Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, ViewDef, ViewId,
+    Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef, ViewId,
 };
 use proptest::prelude::*;
 
@@ -92,6 +95,54 @@ fn thread_counts_beyond_tree_count_are_safe() {
     let par = loaded_engine(16, 600);
     assert_eq!(tree_bytes(&seq), tree_bytes(&par));
     assert_eq!(seq.env().snapshot(), par.env().snapshot());
+}
+
+/// A mixed batch over all the views, with an exact duplicate and an
+/// interleaved repeat of one slice.
+fn batch(catalog: &Catalog) -> Vec<SliceQuery> {
+    let all: Vec<AttrId> = (0..catalog.attr_count()).map(|i| AttrId(i as u16)).collect();
+    let mut queries = QueryGenerator::new(catalog, all, 42).batch(24);
+    let dup = queries[3].clone();
+    queries.push(dup.clone());
+    queries.insert(10, dup);
+    queries
+}
+
+/// Queries run one at a time on the caller's thread through one shared
+/// clock, so the thread budget moves nothing a query costs: the same rows,
+/// the same per-query simulated seconds from `run_batch`, and the same
+/// `IoSnapshot` delta, whether the batch goes through `run_batch` or
+/// `serve_batch`. Both engines keep the default 4096-page pool.
+#[test]
+fn threads_one_and_many_agree_on_query_answers_and_io() {
+    let seq = loaded_engine(1, 2000);
+    let par = loaded_engine(4, 2000);
+    assert_eq!(seq.env().snapshot(), par.env().snapshot(), "twin loads must match");
+    let queries = batch(RolapEngine::catalog(&seq));
+    assert_eq!(queries.len(), 26);
+
+    let run = |e: &CubetreeEngine| {
+        let before = e.env().snapshot();
+        let stats = run_batch(e, &queries).unwrap();
+        let after_run = e.env().snapshot();
+        let (_, served) = e.serve_batch(&queries);
+        let rows: Vec<_> = served.into_iter().map(|a| normalize_rows(a.unwrap().rows)).collect();
+        let io = (after_run.since(&before), e.env().snapshot().since(&after_run));
+        (stats, rows, io)
+    };
+    let (stats_seq, rows_seq, io_seq) = run(&seq);
+    let (stats_par, rows_par, io_par) = run(&par);
+
+    let expected: Vec<_> = queries.iter().map(|q| normalize_rows(seq.query(q).unwrap())).collect();
+    assert_eq!(rows_seq, expected);
+    assert_eq!(rows_par, expected);
+    assert_eq!(stats_seq.checksum, stats_par.checksum);
+    let per_query = |s: &cubetrees_repro::workload::BatchStats| {
+        s.queries.iter().map(|q| (q.rows, q.sim_secs)).collect::<Vec<_>>()
+    };
+    assert_eq!(per_query(&stats_seq), per_query(&stats_par), "per-query rows and sim_secs");
+    assert_eq!(io_seq.0, io_par.0, "run_batch I/O delta");
+    assert_eq!(io_seq.1, io_par.1, "serve_batch I/O delta");
 }
 
 proptest! {

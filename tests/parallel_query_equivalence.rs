@@ -1,15 +1,20 @@
-//! The batched, scheduled query engine must be a pure wall-clock
-//! optimization — never a semantic one:
+//! Queries run one at a time, in arrival order, on the caller's thread, so
+//! a batch is only a loop and the worker budget never reaches the query
+//! path:
 //!
-//! * at `threads = 1` the batch interface is bit-identical to the historical
-//!   per-query loop (same rows *and* same `IoSnapshot`), pinning the PR 1
-//!   determinism contract on the query path;
-//! * at `threads > 1` the scheduled batch returns the same per-query answer
-//!   sets and per-query result counters, and never reads more pages than the
-//!   sequential loop (shared scans + readahead must not regress I/O).
+//! * `serve_batch` over a slice is bit-identical to calling `query` for each
+//!   query in turn (same rows *and* same `IoSnapshot`);
+//! * at `threads > 1` every single query returns the same rows and costs the
+//!   same `IoSnapshot` delta as at `threads = 1`;
+//! * `run_batch` reports the same checksum, per-query row counts and
+//!   per-query simulated seconds at every thread count.
+//!
+//! `tests/parallel_equivalence.rs` pins the batch totals of `run_batch` and
+//! `serve_batch` across threads 1 and 4; these tests pin the per-query view.
 
 use cubetrees_repro::common::query::normalize_rows;
 use cubetrees_repro::common::{AggFn, AttrId};
+use cubetrees_repro::core::ServingEngine;
 use cubetrees_repro::workload::{run_batch, QueryGenerator};
 use cubetrees_repro::{
     Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef,
@@ -48,13 +53,11 @@ fn loaded_engine(threads: usize, rows: usize) -> CubetreeEngine {
     engine
 }
 
-/// A mixed batch over all the views, with duplicated and overlapping slices
-/// so the scheduler's shared-scan path is genuinely exercised.
+/// A mixed batch over all the views, with an exact duplicate and an
+/// interleaved repeat of one slice.
 fn batch(catalog: &Catalog) -> Vec<SliceQuery> {
     let all: Vec<AttrId> = (0..catalog.attr_count()).map(|i| AttrId(i as u16)).collect();
     let mut queries = QueryGenerator::new(catalog, all, 42).batch(24);
-    // Exact duplicates (shared-scan units) and interleaved repeats (the
-    // packed-order sort must bring them back together).
     let dup = queries[3].clone();
     queries.push(dup.clone());
     queries.insert(10, dup);
@@ -67,16 +70,15 @@ fn threads_one_batch_path_is_bit_identical_to_the_query_loop() {
     let b = loaded_engine(1, 2000);
     assert_eq!(a.env().snapshot(), b.env().snapshot(), "twin loads must match");
 
-    let queries = batch(a.catalog());
+    let queries = batch(RolapEngine::catalog(&a));
     let loop_rows: Vec<_> =
         queries.iter().map(|q| normalize_rows(a.query(q).unwrap())).collect();
-    let batch_rows = b.query_batch(&queries).unwrap();
-    assert!(batch_rows.sched.is_none(), "threads=1 must not schedule");
-    let batch_norm: Vec<_> =
-        batch_rows.results.into_iter().map(normalize_rows).collect();
+    let (_, served) = b.serve_batch(&queries);
+    let batch_rows: Vec<_> =
+        served.into_iter().map(|r| normalize_rows(r.unwrap().rows)).collect();
     // Row order *within* a query is unspecified (aggregator hash order);
     // the normalized answers and the I/O accounting are the contract.
-    assert_eq!(loop_rows, batch_norm);
+    assert_eq!(loop_rows, batch_rows);
     // Bit-identical I/O accounting, not just identical answers.
     assert_eq!(a.env().snapshot(), b.env().snapshot());
 }
@@ -85,54 +87,39 @@ fn threads_one_batch_path_is_bit_identical_to_the_query_loop() {
 fn threads_one_and_many_agree_on_answers_and_counters() {
     let seq = loaded_engine(1, 2000);
     let par = loaded_engine(4, 2000);
+    assert_eq!(seq.env().snapshot(), par.env().snapshot(), "twin loads must match");
 
-    let queries = batch(seq.catalog());
-    let before_seq = seq.env().snapshot();
-    let before_par = par.env().snapshot();
-    let a = seq.query_batch(&queries).unwrap();
-    let b = par.query_batch(&queries).unwrap();
-    let io_seq = seq.env().snapshot().since(&before_seq);
-    let io_par = par.env().snapshot().since(&before_par);
-
-    assert_eq!(a.results.len(), b.results.len());
-    for (i, (ra, rb)) in a.results.iter().zip(&b.results).enumerate() {
+    let queries = batch(RolapEngine::catalog(&seq));
+    for (i, q) in queries.iter().enumerate() {
+        let before_seq = seq.env().snapshot();
+        let before_par = par.env().snapshot();
+        let ra = seq.query(q).unwrap();
+        let rb = par.query(q).unwrap();
         // Identical per-query result counters...
         assert_eq!(ra.len(), rb.len(), "query {i} row count diverged");
-        // ...and identical row sets (order within a query is unspecified).
+        // ...identical row sets (order within a query is unspecified)...
+        assert_eq!(normalize_rows(ra), normalize_rows(rb), "query {i} rows diverged");
+        // ...and the same pages, hits and tuples charged to this query.
         assert_eq!(
-            normalize_rows(ra.clone()),
-            normalize_rows(rb.clone()),
-            "query {i} rows diverged"
+            seq.env().snapshot().since(&before_seq),
+            par.env().snapshot().since(&before_par),
+            "query {i} I/O diverged"
         );
     }
-    let sched = b.sched.expect("parallel batch must be scheduled");
-    assert!(sched.groups >= 2, "multi-tree forest must yield several groups");
-    assert!(sched.shared_scans >= 1, "duplicate slices must share a scan");
-
-    // Scheduling + readahead must not regress physical I/O.
-    let pages_seq = io_seq.seq_reads + io_seq.rand_reads;
-    let pages_par = io_par.seq_reads + io_par.rand_reads;
-    assert!(
-        pages_par <= pages_seq,
-        "parallel batch read {pages_par} pages vs sequential {pages_seq}"
-    );
-    // Every entry the queries touch is still charged exactly once per
-    // shared-scan unit, so the parallel path touches no more tuples.
-    assert!(io_par.tuples <= io_seq.tuples);
 }
 
 #[test]
 fn run_batch_checksums_match_across_thread_counts() {
     let seq = loaded_engine(1, 1200);
-    let par = loaded_engine(3, 1200);
-    let queries = batch(seq.catalog());
+    let queries = batch(RolapEngine::catalog(&seq));
     let s1 = run_batch(&seq, &queries).unwrap();
-    let s2 = run_batch(&par, &queries).unwrap();
-    assert_eq!(s1.checksum, s2.checksum);
-    assert_eq!(
-        s1.queries.iter().map(|q| q.rows).collect::<Vec<_>>(),
-        s2.queries.iter().map(|q| q.rows).collect::<Vec<_>>(),
-    );
-    assert!(s1.sched.is_none());
-    assert!(s2.sched.is_some());
+    let per_query = |s: &cubetrees_repro::workload::BatchStats| {
+        s.queries.iter().map(|q| (q.rows, q.sim_secs)).collect::<Vec<_>>()
+    };
+    for threads in [2, 3, 8] {
+        let par = loaded_engine(threads, 1200);
+        let s2 = run_batch(&par, &queries).unwrap();
+        assert_eq!(s1.checksum, s2.checksum, "threads {threads}");
+        assert_eq!(per_query(&s1), per_query(&s2), "threads {threads}: rows and sim_secs");
+    }
 }

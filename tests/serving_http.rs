@@ -123,8 +123,8 @@ fn validation_errors_return_4xx_and_server_survives() {
 
 #[test]
 fn loopback_answers_are_bit_identical_to_sequential_query() {
-    // threads=2 so the served path runs through the parallel scheduler; the
-    // reference answers use the engine's sequential query() directly.
+    // threads=2: the thread budget must not change what the served path
+    // answers; the reference answers use the engine's query() directly.
     let (engine, attrs) = build_engine(2);
     let server = CtServer::start(engine.clone(), ServerConfig::default()).unwrap();
     let addr = server.addr().to_string();
@@ -136,7 +136,8 @@ fn loopback_answers_are_bit_identical_to_sequential_query() {
         SliceQuery::new(vec![p], vec![(s, 2), (t, 4)]),
         SliceQuery::new(vec![s, t], vec![]).with_range(p, 2, 9),
     ];
-    // Several clients in parallel so requests actually share batches.
+    // Several clients in parallel, so requests contend for the execution
+    // mutex.
     std::thread::scope(|scope| {
         for client_id in 0..4 {
             let addr = &addr;

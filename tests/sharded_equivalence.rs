@@ -102,7 +102,7 @@ trait Engine: RolapEngine + ServingEngine {}
 impl<T: RolapEngine + ServingEngine> Engine for T {}
 
 /// The unsharded engine and the sharded one at 1 and 3 shards, each at
-/// `threads` 1 (in-order execution) and 4 (the batch scheduler).
+/// `threads` 1 and 4 (4 fans a sharded query out to its shards at once).
 fn engine_matrix(
     cat: &Catalog,
     fact: &Relation,
@@ -157,6 +157,12 @@ fn answers(engine: &dyn RolapEngine, queries: &[SliceQuery]) -> Vec<Vec<QueryRow
     queries.iter().map(|q| normalize_rows(engine.query(q).unwrap())).collect()
 }
 
+/// `queries` answered through one `serve_batch` call, normalized.
+fn served(engine: &dyn ServingEngine, queries: &[SliceQuery]) -> Vec<Vec<QueryRow>> {
+    let (_, answers) = engine.serve_batch(queries);
+    answers.into_iter().map(|a| normalize_rows(a.unwrap().rows)).collect()
+}
+
 #[test]
 fn every_query_class_is_bit_identical_at_shards_1_through_4() {
     let (cat, p, s, c) = catalog();
@@ -172,12 +178,10 @@ fn every_query_class_is_bit_identical_at_shards_1_through_4() {
             expected,
             "shards={shards} single-query path must be bit-identical"
         );
-        // The batched scatter-gather path too (per-shard batch scheduler,
-        // one MVCC pin per shard per batch).
-        let batch = e.query_batch(&queries).unwrap();
-        let got: Vec<Vec<QueryRow>> =
-            batch.results.into_iter().map(normalize_rows).collect();
-        assert_eq!(got, expected, "shards={shards} batch path must be bit-identical");
+        // The served scatter-gather path too (one MVCC pin per shard per
+        // batch).
+        let got = served(&e, &queries);
+        assert_eq!(got, expected, "shards={shards} serve_batch must be bit-identical");
     }
 }
 
@@ -234,15 +238,14 @@ fn single_shard_pruning_routes_without_changing_answers() {
 
 /// The degenerate inputs of the one read path: batches of {1, 2, 33} ×
 /// threads {1, 4} × delta {empty, resident} × {unsharded, 1 shard, 3
-/// shards}. Every `query_batch` and `serve_batch` answer equals `query()`
-/// asked one by one of the unsharded sequential engine in the same state.
+/// shards}. Every `serve_batch` answer equals `query()` asked one by one of
+/// the unsharded sequential engine in the same state.
 #[test]
 fn degenerate_batches_answer_like_query_one_by_one() {
     let (cat, p, s, c) = catalog();
     let vs = views(p, s, c);
     let fact = lcg_fact(p, s, c, 3000, 0xC0FFEE);
-    // 33 queries: the classes cycled, so duplicates share scans when the
-    // scheduler runs.
+    // 33 queries: the classes cycled, so the batch repeats queries.
     let queries: Vec<SliceQuery> =
         query_classes(p, s, c).into_iter().cycle().take(33).collect();
     let engines = engine_matrix(&cat, &fact, &vs, p);
@@ -258,21 +261,15 @@ fn degenerate_batches_answer_like_query_one_by_one() {
             let name = format!("{name} resident_delta={resident_delta}");
             assert_eq!(answers(&**e, &queries), expected, "{name}: query()");
             for size in [1usize, 2, 33] {
-                let batch = e.query_batch(&queries[..size]).unwrap();
-                let got: Vec<_> = batch.results.into_iter().map(normalize_rows).collect();
-                assert_eq!(got, expected[..size], "{name}: query_batch of {size}");
-                let (_, served) = e.serve_batch(&queries[..size]);
-                let got: Vec<_> =
-                    served.into_iter().map(|a| normalize_rows(a.unwrap().rows)).collect();
+                let got = served(&**e, &queries[..size]);
                 assert_eq!(got, expected[..size], "{name}: serve_batch of {size}");
             }
         }
     }
 }
 
-/// A query no view can answer fails alone, whatever executes the batch: its
-/// neighbours are served, at `threads = 1` and under the batch scheduler,
-/// unsharded and sharded alike. (`query_batch` is all-or-nothing by contract.)
+/// A query no view can answer fails alone in a served batch: its neighbours
+/// are served, at every thread count, unsharded and sharded alike.
 #[test]
 fn an_unplannable_query_fails_alone_in_a_served_batch() {
     let (mut cat, p, s, c) = catalog();
@@ -297,7 +294,6 @@ fn an_unplannable_query_fails_alone_in_a_served_batch() {
         }
         let err = served[1].as_ref().expect_err("the underivable query must fail");
         assert!(err.contains("no materialized view"), "{name}: {err}");
-        assert!(e.query_batch(&batch).is_err(), "{name}: query_batch is all-or-nothing");
     }
 }
 
@@ -317,8 +313,6 @@ fn one_shard_reads_exactly_the_pages_of_the_unsharded_engine() {
         plain.query(q).unwrap();
         one.query(q).unwrap();
     }
-    plain.query_batch(&queries).unwrap();
-    one.query_batch(&queries).unwrap();
     plain.serve_batch(&queries);
     one.serve_batch(&queries);
     assert_eq!(plain.env().snapshot(), one.io_snapshot());
@@ -372,9 +366,6 @@ proptest! {
         let reference = unsharded(&cat, &fact, &vs);
         let e = sharded(&cat, &fact, &vs, p, shards);
         prop_assert_eq!(answers(&e, &queries), answers(&reference, &queries));
-        let batch = e.query_batch(&queries).unwrap();
-        let got: Vec<Vec<QueryRow>> =
-            batch.results.into_iter().map(normalize_rows).collect();
-        prop_assert_eq!(got, answers(&reference, &queries));
+        prop_assert_eq!(served(&e, &queries), answers(&reference, &queries));
     }
 }
