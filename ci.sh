@@ -53,17 +53,6 @@ cargo run -q --release --offline --example ingest_smoke > /dev/null
 # throughput ratio drops below results/bench_ingest_baseline.json.
 cargo run -q --release --offline -p ct-bench --bin bench_ingest -- \
   --sf 0.01 --threads 2 --json target/BENCH_ingest.json > /dev/null
-# Partitioned-forest gates: sharded answers must be bit-identical to the
-# unsharded engine for every query class at shards ∈ {1..4}, and a crashed
-# multi-shard refresh must recover to a consistent cut.
-cargo test -q --offline --test sharded_equivalence --test sharded_recovery
-# Sharded scatter-gather smoke: shard-count sweep {1,2,4,8}; exits non-zero
-# if any sharded answer diverges from shards=1 or if shards=4 reads more
-# pages per query than the gather-overhead allowance in
-# results/bench_shards_baseline.json. target/BENCH_shards.json records build
-# wall/speedup, per-query page I/O, and the shard-skew report.
-cargo run -q --release --offline -p ct-bench --bin bench_shards -- \
-  --sf 0.02 --queries 28 --threads 4 --json target/BENCH_shards.json > /dev/null
 # Answer-cache equivalence gate: random query/refresh/ingest/compact
 # interleavings must answer bit-identically with the cache on and off (both
 # engines), and a stamp mismatch must force a miss after every flip.

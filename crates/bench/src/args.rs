@@ -24,8 +24,6 @@ pub struct BenchArgs {
     /// on-disk state recoverable — a command-line probe of the crash-safety
     /// contract.
     pub faults: u64,
-    /// Shard count for partitioned-forest runs (1 = unsharded).
-    pub shards: usize,
     /// Zipf skew of the generated query stream (0 = the historical
     /// uniform workload, byte-identical).
     pub skew: f64,
@@ -42,7 +40,6 @@ impl Default for BenchArgs {
             metrics: None,
             threads: 1,
             faults: 0,
-            shards: 1,
             skew: 0.0,
         }
     }
@@ -86,12 +83,6 @@ impl BenchArgs {
                 "--faults" => {
                     out.faults = value("--faults").parse().expect("--faults takes an int")
                 }
-                "--shards" => {
-                    out.shards = value("--shards")
-                        .parse::<usize>()
-                        .expect("--shards takes an int")
-                        .max(1)
-                }
                 "--skew" => {
                     out.skew = value("--skew").parse().expect("--skew takes a float");
                     assert!(
@@ -103,7 +94,7 @@ impl BenchArgs {
                     eprintln!(
                         "usage: [--sf F] [--seed N] [--queries N] [--pool-frac F] \
                          [--json PATH] [--metrics PATH] [--threads N] [--faults N] \
-                         [--shards N] [--skew F]"
+                         [--skew F]"
                     );
                     std::process::exit(0);
                 }
@@ -190,16 +181,6 @@ mod tests {
         assert_eq!(a.threads, 4);
         let z = BenchArgs::parse_from(["--threads", "0"].iter().map(|s| s.to_string()));
         assert_eq!(z.threads, 1, "zero clamps to sequential");
-    }
-
-    #[test]
-    fn shards_parse_and_clamp() {
-        let d = BenchArgs::parse_from(Vec::<String>::new());
-        assert_eq!(d.shards, 1, "default is unsharded");
-        let a = BenchArgs::parse_from(["--shards", "4"].iter().map(|s| s.to_string()));
-        assert_eq!(a.shards, 4);
-        let z = BenchArgs::parse_from(["--shards", "0"].iter().map(|s| s.to_string()));
-        assert_eq!(z.shards, 1, "zero clamps to a single shard");
     }
 
     #[test]

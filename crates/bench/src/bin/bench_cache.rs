@@ -27,7 +27,7 @@ use ct_tpcd::{TpcdConfig, TpcdWarehouse};
 use ct_workload::serving::{query_body, HttpClient, LoopMode, ServingConfig, ServingStats};
 use ct_workload::{paper_configs, run_serving, QueryGenerator};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
-use cubetree::{ServingEngine, ShardSpec, ShardedConfig, ShardedEngine};
+use cubetree::ServingEngine;
 use std::sync::Arc;
 
 struct Side {
@@ -55,21 +55,11 @@ fn main() {
 
     let build = |label: &'static str, cache: bool| -> Side {
         let mut cfg = setup.cubetree.clone().with_threads(threads);
-        cfg.pool_pages = if args.shards > 1 { (pool / args.shards).max(128) } else { pool };
+        cfg.pool_pages = pool;
         cfg.recorder = ct_obs::Recorder::enabled();
-        let engine: Arc<dyn ServingEngine> = if args.shards > 1 {
-            let spec = ShardSpec::new(args.shards).with_partition_attr(a.partkey);
-            let mut engine =
-                ShardedEngine::new(w.catalog().clone(), ShardedConfig::new(cfg, spec))
-                    .expect("sharded engine");
-            engine.load(&fact).expect("sharded load");
-            Arc::new(engine)
-        } else {
-            let mut engine =
-                CubetreeEngine::new(w.catalog().clone(), cfg).expect("cubetree engine");
-            engine.load(&fact).expect("cubetree load");
-            Arc::new(engine)
-        };
+        let mut engine = CubetreeEngine::new(w.catalog().clone(), cfg).expect("cubetree engine");
+        engine.load(&fact).expect("cubetree load");
+        let engine: Arc<dyn ServingEngine> = Arc::new(engine);
         let mut server_cfg = ServerConfig::default();
         server_cfg.cache.enabled = cache;
         // Threshold 1: every miss populates, so the warm-up cost of the
@@ -157,7 +147,6 @@ fn main() {
     );
     report.meta("fact rows", fact.len());
     report.meta("threads", threads);
-    report.meta("shards", args.shards);
     report.meta("skew", skew);
     report.meta("requests per side", total_requests);
     report.meta("baseline max pages/query ratio", baseline_ratio);

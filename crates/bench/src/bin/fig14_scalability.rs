@@ -1,12 +1,7 @@
-//! Figure 14: Cubetree scalability — per-view query batches at SF and 2×SF,
-//! plus a partitioned-forest shard sweep (build-time scale-out).
+//! Figure 14: Cubetree scalability — per-view query batches at SF and 2×SF.
 //!
 //! Paper: "query performance is practically unaffected by the larger input";
-//! small differences track output size only. The shard sweep extends the
-//! scalability story sideways: the same fact relation is hash-partitioned
-//! into {1, 2, 4, 8} independent forests that build in parallel, reporting
-//! wall-clock speedup and partition skew (see `bench_shards` for the gated
-//! page-economy and bit-identity checks).
+//! small differences track output size only.
 
 use ct_bench::experiments::estimate_data_bytes;
 use ct_bench::report::{fmt_ratio, fmt_secs, Report};
@@ -15,8 +10,6 @@ use ct_rtree::LeafFormat;
 use ct_tpcd::{TpcdConfig, TpcdWarehouse};
 use ct_workload::{paper_configs, run_batch, QueryGenerator};
 use cubetree::engine::{CubetreeEngine, RolapEngine};
-use cubetree::{ShardSpec, ShardedConfig, ShardedEngine};
-use std::time::Instant;
 
 fn load_cubetrees(args: &BenchArgs, sf: f64) -> (TpcdWarehouse, CubetreeEngine) {
     let w = TpcdWarehouse::new(TpcdConfig { scale_factor: sf, seed: args.seed });
@@ -68,40 +61,6 @@ fn main() {
             fmt_secs(s1.total_sim()),
             fmt_secs(s2.total_sim()),
             fmt_ratio(s2.total_sim(), s1.total_sim()),
-        ]);
-    }
-    // Shard sweep: same 1x fact, partitioned into N forests built in
-    // parallel on the worker pool. Shard builds do the same total work in
-    // parallel slices, so the wall-clock speedup column is only meaningful
-    // on hosts with at least as many cores as shards (bench_shards records
-    // the same caveat in its report meta).
-    let fact = w1.generate_fact();
-    let pool = args.pool_pages(estimate_data_bytes(fact.len() as u64));
-    let s2 = report.section(
-        "partitioned forests: parallel build at shard counts",
-        &["shards", "build s", "speedup", "skew max/mean rows"],
-    );
-    let mut build1 = None;
-    for n in [1usize, 2, 4, 8] {
-        let mut cfg = paper_configs(&w1).cubetree.with_threads(args.threads.max(n));
-        cfg.pool_pages = (pool / n).max(128);
-        cfg.format = LeafFormat::ZeroElided;
-        let spec = ShardSpec::new(n).with_partition_attr(a.partkey);
-        let mut engine =
-            ShardedEngine::new(w1.catalog().clone(), ShardedConfig::new(cfg, spec))
-                .expect("sharded engine");
-        let t0 = Instant::now();
-        engine.load(&fact).expect("sharded load");
-        let secs = t0.elapsed().as_secs_f64();
-        let base_secs = *build1.get_or_insert(secs);
-        let rows = engine.shard_rows();
-        let max = rows.iter().copied().max().unwrap_or(0);
-        let mean = rows.iter().sum::<u64>() as f64 / rows.len().max(1) as f64;
-        s2.row(vec![
-            n.to_string(),
-            fmt_secs(secs),
-            fmt_ratio(base_secs, secs),
-            format!("{max} / {mean:.1}"),
         ]);
     }
 

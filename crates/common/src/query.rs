@@ -143,8 +143,9 @@ pub struct QueryKey {
 
 impl QueryKey {
     /// A stable 64-bit digest (FNV-1a over the canonical encoding), suitable
-    /// for shard selection and frequency sketches. Deterministic across runs
-    /// and platforms, unlike [`std::hash::Hash`] through a keyed hasher.
+    /// for the answer cache's lock-shard selection and frequency sketch.
+    /// Deterministic across runs and platforms, unlike [`std::hash::Hash`]
+    /// through a keyed hasher.
     /// It hashes a few dozen bytes per query and is not on the I/O path;
     /// page and manifest sums use `ct_storage::page::checksum`.
     pub fn digest(&self) -> u64 {

@@ -216,10 +216,10 @@ impl ConventionalEngine {
             if vid != def.id {
                 continue;
             }
-            let perm: Vec<usize> = order
+            let perm = order
                 .iter()
-                .map(|a| def.projection.iter().position(|b| b == a).unwrap())
-                .collect();
+                .map(|a| column_of(&def.projection, *a))
+                .collect::<Result<Vec<usize>>>()?;
             let mut pairs: Vec<(Vec<u64>, u64)> = (0..rel.len())
                 .map(|i| {
                     let k = rel.key(i);
@@ -343,20 +343,28 @@ impl ConventionalEngine {
         let mut processed = 0u64;
         match path {
             AccessPath::Scan => {
-                mv.table.scan(|_, row| {
-                    let state = AggState::decode(mv.def.agg, &row[arity..])
-                        .expect("aggregate state decodes");
-                    agg.accept(&row[..arity], &state);
-                    processed += 1;
-                    true
+                let mut bad = None;
+                mv.table.scan(|_, row| match AggState::decode(mv.def.agg, &row[arity..]) {
+                    Ok(state) => {
+                        agg.accept(&row[..arity], &state);
+                        processed += 1;
+                        true
+                    }
+                    Err(e) => {
+                        bad = Some(e);
+                        false
+                    }
                 })?;
+                if let Some(e) = bad {
+                    return Err(e);
+                }
             }
             AccessPath::Primary { eq_len, range_next }
             | AccessPath::Secondary { eq_len, range_next, .. } => {
                 let (order, tree): (&[AttrId], &BTree) = match path {
                     AccessPath::Primary { .. } => (
                         &mv.def.projection,
-                        mv.primary.as_ref().expect("planned primary exists"),
+                        mv.primary.as_ref().ok_or_else(|| planned("primary index"))?,
                     ),
                     AccessPath::Secondary { j, .. } => {
                         let (o, t) = &mv.secondaries[j];
@@ -370,13 +378,12 @@ impl ConventionalEngine {
                 let mut hi_key = vec![u64::MAX; tree.key_len()];
                 for (i, a) in order.iter().take(eq_len).enumerate() {
                     // A degenerate range [v, v] counts as equality too.
-                    let (v, _) = q.range_of(*a).expect("planned prefix is fixed");
+                    let (v, _) = q.range_of(*a).ok_or_else(|| planned("prefix"))?;
                     lo_key[i] = v;
                     hi_key[i] = v;
                 }
                 if range_next {
-                    let (l, h) =
-                        q.range_of(order[eq_len]).expect("planned range exists");
+                    let (l, h) = q.range_of(order[eq_len]).ok_or_else(|| planned("range"))?;
                     lo_key[eq_len] = l;
                     hi_key[eq_len] = h;
                 }
@@ -403,6 +410,19 @@ impl ConventionalEngine {
         }
         Ok(agg.finish(mv.def.agg))
     }
+}
+
+/// The error for a plan whose promised input is missing.
+fn planned(what: &str) -> CtError {
+    CtError::invalid(format!("the plan's {what} is missing"))
+}
+
+/// The position of index attribute `a` among a view's columns.
+fn column_of(projection: &[AttrId], a: AttrId) -> Result<usize> {
+    projection
+        .iter()
+        .position(|b| *b == a)
+        .ok_or_else(|| CtError::invalid(format!("index attribute {a:?} is not a view column")))
 }
 
 /// How a planned query reaches its view's rows.
@@ -468,7 +488,7 @@ impl RolapEngine for ConventionalEngine {
                         compute_view(&self.env, &self.catalog, fact, &def.projection, &sort)?
                     }
                     PlanSource::View(j) => {
-                        let src = relations[j].as_ref().expect("plan order violated");
+                        let src = relations[j].as_ref().ok_or_else(|| planned("parent view"))?;
                         compute_view(&self.env, &self.catalog, src, &def.projection, &sort)?
                     }
                 };
@@ -482,7 +502,7 @@ impl RolapEngine for ConventionalEngine {
         {
             let _materialize = phase.child("materialize");
             for (i, def) in defs.iter().enumerate() {
-                let rel = relations[i].take().expect("all views computed");
+                let rel = relations[i].take().ok_or_else(|| planned("view"))?;
                 self.materialize(def, &rel)?;
             }
         }
@@ -555,14 +575,10 @@ impl RolapEngine for ConventionalEngine {
                             t.insert(key, &[rid])?;
                         }
                         for (order, t) in &mut mv.secondaries {
-                            let perm: Vec<u64> = order
+                            let perm = order
                                 .iter()
-                                .map(|a| {
-                                    let c =
-                                        mv.def.projection.iter().position(|b| b == a).unwrap();
-                                    key[c]
-                                })
-                                .collect();
+                                .map(|a| Ok(key[column_of(&mv.def.projection, *a)?]))
+                                .collect::<Result<Vec<u64>>>()?;
                             t.insert(&perm, &[rid])?;
                         }
                     }
@@ -601,6 +617,7 @@ impl RolapEngine for ConventionalEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::AggFn;

@@ -1,5 +1,7 @@
 //! The Cubetree storage engine (the paper's proposal).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::delta::{DeltaConfig, DeltaStats};
 use crate::engine::{serve_sources, RolapEngine, ServedAnswer, ServingEngine, ViewInfo};
 use crate::forest::{AnswerStamp, CubetreeForest};
@@ -110,8 +112,8 @@ impl CubetreeEngine {
     /// files are reclaimed). When a committed manifest is present the forest
     /// is re-attached via [`CubetreeForest::open`] and the engine is
     /// immediately queryable; on a fresh directory the caller loads it with
-    /// [`RolapEngine::load`] as usual. This is how the sharded layer gives
-    /// every shard its own recoverable environment.
+    /// [`RolapEngine::load`] as usual. A directory holds one forest and one
+    /// manifest.
     pub fn open_at(dir: &std::path::Path, catalog: Catalog, config: CubetreeConfig) -> Result<Self> {
         let (env, _recovery) = StorageEnv::open_at(
             dir,
@@ -144,18 +146,9 @@ impl CubetreeEngine {
     /// is what makes a mixed read/refresh workload possible; the
     /// [`RolapEngine::update`] entry point delegates here.
     pub fn refresh(&self, delta: &Relation) -> Result<()> {
-        self.refresh_stamped(delta, None)
-    }
-
-    /// [`CubetreeEngine::refresh`] with an optional commit stamp recorded
-    /// in this engine's manifest at the flip point. The sharded layer
-    /// stamps each shard's part of a multi-shard refresh with the refresh
-    /// id, so crash recovery can tell committed shards from aborted ones
-    /// without guessing from generation numbers.
-    pub fn refresh_stamped(&self, delta: &Relation, stamp: Option<&str>) -> Result<()> {
         let forest = self.forest_ref()?;
         let _phase = self.env.phase("update");
-        forest.update_stamped(&self.env, &self.catalog, delta, stamp)?;
+        forest.update(&self.env, &self.catalog, delta)?;
         self.env.pool().flush_all()
     }
 
@@ -229,9 +222,8 @@ impl RolapEngine for CubetreeEngine {
     }
 }
 
-/// Builds the `/views` listing from one pinned generation. Shared with the
-/// sharded engine, which merges per-shard entry counts over the same shape.
-pub(crate) fn view_infos(forest: &CubetreeForest, catalog: &Catalog) -> (u64, Vec<ViewInfo>) {
+/// Builds the `/views` listing from one pinned generation.
+fn view_infos(forest: &CubetreeForest, catalog: &Catalog) -> (u64, Vec<ViewInfo>) {
     let pin = forest.pin();
     let views = pin
         .placements()
@@ -292,8 +284,7 @@ impl ServingEngine for CubetreeEngine {
         let (pin, delta) = forest.pin_with_delta();
         let stamp = AnswerStamp::of(&pin, &delta);
         let source = QuerySource { gen: &pin, delta: delta.as_option(), env: &self.env };
-        let answers =
-            serve_sources(&[source], |_, _| true, 1, &self.catalog, queries, |_| vec![stamp]);
+        let answers = serve_sources(&[source], &self.catalog, queries, &[stamp]);
         (pin.number(), answers)
     }
 
@@ -331,6 +322,7 @@ impl ServingEngine for CubetreeEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::AggFn;

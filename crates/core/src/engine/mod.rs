@@ -10,12 +10,13 @@
 //! * [`CubetreeEngine`] — the paper's proposal: the views in a SelectMapping
 //!   forest of packed compressed R-trees with merge-pack refresh.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod conventional;
 mod cubetree_engine;
 
 pub use conventional::{ConventionalConfig, ConventionalEngine, LoadBreakdown};
 pub use cubetree_engine::{CubetreeConfig, CubetreeEngine};
-pub(crate) use cubetree_engine::view_infos;
 
 use crate::delta::{DeltaConfig, DeltaStats};
 use crate::forest::AnswerStamp;
@@ -25,30 +26,27 @@ use ct_common::{AggFn, Catalog, Result, SliceQuery};
 use ct_cube::Relation;
 use ct_storage::{IoSnapshot, StorageEnv};
 
-/// [`ServingEngine::serve_batch`] of both Cubetree engines over their pinned
-/// `sources`; `stamps(i)` are query `i`'s freshness stamps under those pins.
-/// A query no view can answer fails alone; an execution error fails the
-/// batch. Execution is panic-isolated: a panicking batch is answered as
-/// errors instead of unwinding into the server's connection thread, which
-/// would drop the connection without a response.
+/// [`ServingEngine::serve_batch`] over pinned `sources`; every answer
+/// carries `stamps`, the freshness stamps of those pins. A query no view can
+/// answer fails alone; an execution error fails the batch. Execution is
+/// panic-isolated: a panicking batch is answered as errors instead of
+/// unwinding into the server's connection thread, which would drop the
+/// connection without a response.
 pub(crate) fn serve_sources(
     sources: &[QuerySource<'_>],
-    consults: impl Fn(usize, usize) -> bool,
-    threads: usize,
     catalog: &Catalog,
     queries: &[SliceQuery],
-    stamps: impl Fn(usize) -> Vec<AnswerStamp>,
+    stamps: &[AnswerStamp],
 ) -> Vec<std::result::Result<ServedAnswer, String>> {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_queries(sources, consults, threads, catalog, queries)
+        execute_queries(sources, catalog, queries)
     }));
     let whole_batch = |msg: String| queries.iter().map(|_| Err(msg.clone())).collect();
     match outcome {
         Ok(Ok(results)) => results
             .into_iter()
-            .enumerate()
-            .map(|(i, rows)| match rows {
-                Ok(rows) => Ok(ServedAnswer { rows, stamps: stamps(i) }),
+            .map(|rows| match rows {
+                Ok(rows) => Ok(ServedAnswer { rows, stamps: stamps.to_vec() }),
                 Err(e) => Err(format!("query execution failed: {e}")),
             })
             .collect(),
@@ -94,7 +92,7 @@ pub struct ViewInfo {
     pub projection: Vec<String>,
     /// The view's aggregate function.
     pub agg: AggFn,
-    /// Materialized entries (summed across shards for a sharded engine).
+    /// Materialized entries in the listed generation.
     pub entries: u64,
     /// True for a sort-order replica of another placement.
     pub replica: bool,
@@ -107,12 +105,8 @@ pub struct ViewInfo {
 /// current visible state is identical to the one this answer was read under,
 /// so replaying the rows is MVCC-equivalent to executing the query again.
 ///
-/// A [`CubetreeEngine`] answer carries exactly one stamp. A sharded answer
-/// carries one stamp per shard the query was routed to, in shard order,
-/// followed by a *plan guard* stamp (the sum of every shard's generation,
-/// with a zero delta epoch): central planning scores placements by entry
-/// counts summed over **all** shards, so a refresh anywhere can change which
-/// placement answers a query even when the consulted shards did not move.
+/// A [`CubetreeEngine`] answer carries exactly one stamp: the generation and
+/// delta epoch of its one pin.
 #[derive(Clone, Debug)]
 pub struct ServedAnswer {
     /// The query's result rows.
@@ -123,10 +117,8 @@ pub struct ServedAnswer {
 
 /// The engine face the HTTP serving layer binds to: reads under snapshot
 /// pins, streaming and bulk writes, delta accounting, and the
-/// metrics surface. Object-safe so one server binary can front either the
-/// single [`CubetreeEngine`] or a [`crate::shard::ShardedEngine`] — routes
-/// fan out across shards and merge *before* serialization, transparently to
-/// clients.
+/// metrics surface. Object-safe so the server holds it as
+/// `Arc<dyn ServingEngine>`; [`CubetreeEngine`] implements it.
 pub trait ServingEngine: Send + Sync {
     /// True once a forest is materialized (serving requires a loaded engine).
     fn loaded(&self) -> bool;
@@ -137,9 +129,7 @@ pub trait ServingEngine: Send + Sync {
     /// The engine's metrics recorder.
     fn recorder(&self) -> &ct_obs::Recorder;
 
-    /// A monotonic freshness stamp: the committed generation number, or for
-    /// a sharded engine the sum of per-shard generations (shards refresh
-    /// independently, so a single per-forest number does not exist).
+    /// A monotonic freshness stamp: the committed generation number.
     fn generation(&self) -> u64;
 
     /// Checks that `q` is answerable from the materialized views, without
@@ -151,8 +141,7 @@ pub trait ServingEngine: Send + Sync {
     fn views(&self) -> Result<(u64, Vec<ViewInfo>)>;
 
     /// Executes `queries` in arrival order, one in-order scan each, under a
-    /// single snapshot per storage environment (one MVCC pin, plus one per
-    /// shard for a sharded engine) and returns the generation stamp with
+    /// single snapshot (one MVCC pin) and returns the generation stamp with
     /// per-query outcomes. The server passes one query; the slice form is
     /// kept for the `benchmark/` package, which calls it.
     ///
@@ -172,20 +161,20 @@ pub trait ServingEngine: Send + Sync {
     fn answer_stamps(&self, q: &SliceQuery) -> Vec<AnswerStamp>;
 
     /// Bulk-incremental refresh through a shared reference (merge-pack the
-    /// next generation(s) while concurrent reads keep their pins).
+    /// next generation while concurrent reads keep their pins).
     fn refresh(&self, delta: &Relation) -> Result<()>;
 
-    /// Streams fact rows into the in-memory delta tier(s); returns rows
-    /// absorbed. A sharded engine routes rows by the partition key.
+    /// Streams fact rows into the in-memory delta tier; returns rows
+    /// absorbed.
     fn ingest(&self, rows: &Relation) -> Result<u64>;
 
-    /// Resident-delta accounting, summed across shards (`None` before load).
+    /// Resident-delta accounting (`None` before load).
     fn delta_stats(&self) -> Option<DeltaStats>;
 
-    /// True when any delta tier has crossed the compaction thresholds.
+    /// True when the delta tier has crossed the compaction thresholds.
     fn compaction_due(&self, config: &DeltaConfig) -> bool;
 
-    /// Merge-packs resident delta rows into the next generation(s); `true`
+    /// Merge-packs resident delta rows into the next generation; `true`
     /// if anything compacted.
     fn compact_delta(&self) -> Result<bool>;
 
@@ -194,6 +183,6 @@ pub trait ServingEngine: Send + Sync {
         self.recorder().snapshot().to_json()
     }
 
-    /// Physical I/O summed over every storage environment the engine owns.
+    /// Physical I/O of the engine's storage environment.
     fn io_snapshot(&self) -> IoSnapshot;
 }

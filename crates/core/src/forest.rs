@@ -543,9 +543,10 @@ impl CubetreeForest {
             }
             trees.push(PackedRTree::open(env.pool().clone(), fid)?);
         }
-        // Resume generation numbers past every committed one so new update
-        // files never reuse a live generation's name.
-        let number = env.manifest().seq;
+        // A forest commits its environment's manifest once when built and
+        // once per update, so the live generation is the commit count less
+        // one: a reopened forest reports the generation it was dropped at.
+        let number = env.manifest().seq.saturating_sub(1);
         let placements = Arc::new(placements);
         let tracker = GenTracker::new(env.recorder());
         let generation = Generation::new(
@@ -670,22 +671,8 @@ impl CubetreeForest {
         catalog: &Catalog,
         delta_fact: &Relation,
     ) -> Result<()> {
-        self.update_stamped(env, catalog, delta_fact, None)
-    }
-
-    /// [`CubetreeForest::update`] with an optional commit *stamp*: the
-    /// token is recorded in this environment's manifest at the atomic flip
-    /// (see [`StorageEnv::commit_manifest_stamped`]), so a multi-shard
-    /// refresh can later prove whether this forest committed its part.
-    pub fn update_stamped(
-        &self,
-        env: &StorageEnv,
-        catalog: &Catalog,
-        delta_fact: &Relation,
-        stamp: Option<&str>,
-    ) -> Result<()> {
         let _writer = self.writer.lock();
-        self.update_locked(env, catalog, delta_fact, &[], stamp)
+        self.update_locked(env, catalog, delta_fact, &[])
     }
 
     /// Compacts the resident delta tier into the forest: seals the active
@@ -703,7 +690,7 @@ impl CubetreeForest {
         let Some((rel, ids)) = self.delta.drain() else {
             return Ok(false);
         };
-        self.update_locked(env, catalog, &rel, &ids, None)?;
+        self.update_locked(env, catalog, &rel, &ids)?;
         Ok(true)
     }
 
@@ -717,7 +704,6 @@ impl CubetreeForest {
         catalog: &Catalog,
         delta_fact: &Relation,
         compacted: &[u64],
-        stamp: Option<&str>,
     ) -> Result<()> {
         let base = self.current.lock().clone();
         if delta_fact.has_retractions() {
@@ -817,10 +803,7 @@ impl CubetreeForest {
             env.pool().file(new_fid)?.sync()?;
             entries.push(env.manifest_entry(&tree_component(t), new_fid)?);
         }
-        match stamp {
-            Some(s) => env.commit_manifest_stamped(entries, s)?,
-            None => env.commit_manifest(entries)?,
-        }
+        env.commit_manifest(entries)?;
         env.faults().crash_point("update/post_commit")?;
         // Publish: swap the new generation into the cell. Readers pinning
         // from now on see the new trees; existing pins keep the base.

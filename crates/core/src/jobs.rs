@@ -1,11 +1,13 @@
-//! Scoped-worker job dispatch shared by the build/refresh pipeline
-//! ([`crate::forest`]) and the batched query executor ([`crate::query`]).
+//! Scoped-worker job dispatch for the build/refresh pipeline
+//! ([`crate::forest`]): one job per Cubetree.
 //!
 //! Jobs are independent units dispatched over a bounded pool of scoped
 //! threads; work-stealing is a single atomic cursor over the job indices.
 //! Error reporting is deterministic: the error of the lowest-indexed failing
 //! job wins regardless of completion order, and a panicking job surfaces as
 //! an `Err` instead of taking down (or hanging) the pool.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ct_common::{CtError, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,11 +34,10 @@ fn run_caught<T>(f: &(impl Fn(usize) -> Result<T> + Sync), i: usize) -> Result<T
 
 /// Maps `f` over `0..n` on at most `threads` scoped workers and returns the
 /// outputs in index order. With one thread or one job it runs inline, in
-/// order, on the calling thread — no spawn, no box, no lock — which is what
-/// keeps a batch of one on one source as cheap as a direct call. Jobs may
-/// finish in any order but must be deterministic in isolation; on failure
-/// the error of the lowest-indexed failing job wins.
-pub(crate) fn map_jobs<T: Send>(
+/// order, on the calling thread — no spawn, no lock. Jobs may finish in any
+/// order but must be deterministic in isolation; on failure the error of the
+/// lowest-indexed failing job wins.
+fn map_jobs<T: Send>(
     threads: usize,
     n: usize,
     f: impl Fn(usize) -> Result<T> + Sync,
@@ -83,6 +84,7 @@ pub(crate) fn run_jobs(threads: usize, jobs: Vec<Job<'_>>) -> Result<()> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;

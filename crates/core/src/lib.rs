@@ -56,7 +56,6 @@ pub mod forest;
 mod jobs;
 pub mod query;
 pub mod select_mapping;
-pub mod shard;
 
 pub use delta::{DeltaConfig, DeltaSnapshot, DeltaStats, DeltaTier};
 pub use engine::{
@@ -65,4 +64,3 @@ pub use engine::{
 };
 pub use forest::{AnswerStamp, CubetreeForest, Generation, ReaderPin};
 pub use select_mapping::{select_mapping, MappingPlan, TreeSpec};
-pub use shard::{ShardRouter, ShardSpec, ShardedConfig, ShardedEngine};

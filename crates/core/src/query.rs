@@ -9,9 +9,10 @@
 //! whose physical sort order has the longest prefix of sliced attributes —
 //! that is exactly what the paper's multi-sort-order replicas are for.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::delta::DeltaSnapshot;
 use crate::forest::{Generation, PlacedView};
-use crate::jobs::map_jobs;
 use ct_common::query::QueryRow;
 use ct_common::{
     AggFn, AggState, AttrId, Catalog, CtError, Hierarchy, Rect, Result, SliceQuery, ViewDef,
@@ -19,7 +20,6 @@ use ct_common::{
 };
 use ct_storage::StorageEnv;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// Streaming group-by aggregator with hierarchy rollup and residual
 /// predicate checking.
@@ -60,7 +60,12 @@ impl<'a> RollupAggregator<'a> {
                     catalog.attr(target).name
                 ))
             })?;
-            let col = source_attrs.iter().position(|&a| a == src).expect("src in list");
+            let col = source_attrs.iter().position(|&a| a == src).ok_or_else(|| {
+                CtError::invalid(format!(
+                    "derivation source {} is not a column of the chosen view",
+                    catalog.attr(src).name
+                ))
+            })?;
             Ok((col, path))
         };
         let group_resolvers =
@@ -182,13 +187,11 @@ pub fn plan_generation_query(
     plan_query_with_entries(gen.placements(), |id| gen.entries_of(id), catalog, q)
 }
 
-/// The planner core, over an explicit entry-count source. The sharded
-/// engine plans each query *once* against the entry counts summed across
-/// every shard's pinned generation, then executes the chosen placement on
-/// all of them: per-shard planning could legitimately pick different views
-/// on different shards (entry counts diverge; empty shards tie everywhere),
-/// and views carry their own aggregate functions, so gathered partials must
-/// all come from one placement to be coherent.
+/// The planner core, over an explicit entry-count source. The read path
+/// plans each query *once* against the entry counts summed over every
+/// source it gathers from, then executes the chosen placement on all of
+/// them: views carry their own aggregate functions, so gathered partials
+/// must all come from one placement to be coherent.
 ///
 /// # Errors
 /// [`CtError::Unsupported`] if no placement derives the query's node.
@@ -293,8 +296,8 @@ fn delta_aggregator<'a>(
 /// One place a batch reads from: a pinned generation, the resident-delta
 /// snapshot taken with it (see [`crate::forest::CubetreeForest::pin_with_delta`];
 /// `None` or empty merges nothing), and the environment charged for the page
-/// reads. The unsharded engine has one source, the sharded engine one per
-/// shard; every source of a batch materializes the same placements.
+/// reads. A Cubetree engine reads from one source; every source of a batch
+/// materializes the same placements.
 #[derive(Clone, Copy)]
 pub(crate) struct QuerySource<'a> {
     pub gen: &'a Generation,
@@ -380,70 +383,40 @@ pub fn execute_planned_query_partial<'a>(
 }
 
 /// The read path, whole: plan → execute to [`PartialAnswer`]s per source →
-/// gather → finish. "One shard", "no delta" and "a batch of one" are inputs
-/// here, not code paths of their own; one outcome comes back per query,
-/// positionally aligned.
+/// gather → finish. "No delta" and "a batch of one" are inputs here, not
+/// code paths of their own; one outcome comes back per query, positionally
+/// aligned.
 ///
-/// Every query is planned once, up front, against entry counts summed over
-/// all sources (see [`plan_query_with_entries`]); a query no view can answer
-/// fails alone. Each source then runs, in arrival order and one in-order
-/// scan at a time, the planned queries that consult it (`consults(query,
-/// source)` — the shard router's pruning; a source nobody consults is
-/// skipped). Up to `threads` sources run at once, each charging its own
-/// environment, and the partials merge per query in source order before one
-/// `finish`. An execution error or panic fails the whole batch.
+/// Every query is planned once, against entry counts summed over all
+/// sources (see [`plan_query_with_entries`]); a query no view can answer
+/// fails alone. Queries then run in arrival order on the caller's thread,
+/// each as one in-order scan per source, in source order; the partials
+/// merge before one `finish`. An execution error fails the whole batch.
 pub(crate) fn execute_queries(
     sources: &[QuerySource<'_>],
-    consults: impl Fn(usize, usize) -> bool,
-    threads: usize,
     catalog: &Catalog,
     queries: &[SliceQuery],
 ) -> Result<Vec<Result<Vec<QueryRow>>>> {
-    let first = sources.first().ok_or_else(|| CtError::invalid("a batch needs a source"))?;
-    let plans: Vec<Result<ForestPlan>> = queries
-        .iter()
-        .map(|q| {
-            let entries_of = |id| sources.iter().map(|s| s.gen.entries_of(id)).sum();
-            plan_query_with_entries(first.gen.placements(), entries_of, catalog, q)
-        })
-        .collect();
-    let planned: Vec<(usize, &ForestPlan)> =
-        plans.iter().enumerate().filter_map(|(at, plan)| Some((at, plan.as_ref().ok()?))).collect();
-    let shares: Vec<(usize, Vec<(usize, &ForestPlan)>)> = (0..sources.len())
-        .map(|s| (s, planned.iter().copied().filter(|p| consults(p.0, s)).collect::<Vec<_>>()))
-        .filter(|(_, share)| !share.is_empty())
-        .collect();
-    let executed = map_jobs(threads, shares.len(), |k| {
-        let (s, share) = &shares[k];
-        let QuerySource { gen, delta, env } = sources[*s];
-        share
-            .iter()
-            .map(|&(at, plan)| {
-                let q = &queries[at];
-                Ok((at, execute_planned_query_partial(gen, delta, env, catalog, q, plan)?))
-            })
-            .collect::<Result<Vec<_>>>()
-    })?;
-    // Timed only where there is something to merge and someone to read it.
-    let recorder = first.env.recorder();
-    let gather_start = (sources.len() > 1 && recorder.is_enabled()).then(Instant::now);
-    let mut merged: Vec<Option<PartialAnswer<'_>>> = queries.iter().map(|_| None).collect();
-    for (at, part) in executed.into_iter().flatten() {
-        match &mut merged[at] {
-            None => merged[at] = Some(part),
-            Some(m) => m.absorb(part),
+    let (first, rest) =
+        sources.split_first().ok_or_else(|| CtError::invalid("a batch needs a source"))?;
+    let entries_of = |id| sources.iter().map(|s| s.gen.entries_of(id)).sum();
+    let mut results = Vec::with_capacity(queries.len());
+    for q in queries {
+        let plan = match plan_query_with_entries(first.gen.placements(), entries_of, catalog, q) {
+            Ok(plan) => plan,
+            Err(e) => {
+                results.push(Err(e));
+                continue;
+            }
+        };
+        let run = |s: &QuerySource<'_>| {
+            execute_planned_query_partial(s.gen, s.delta, s.env, catalog, q, &plan)
+        };
+        let mut gathered = run(first)?;
+        for source in rest {
+            gathered.absorb(run(source)?);
         }
-    }
-    let results = plans
-        .into_iter()
-        .zip(merged)
-        .map(|(plan, gathered)| {
-            let gathered = gathered.ok_or_else(|| CtError::invalid("query routed to zero shards"));
-            plan.and_then(|_| Ok(gathered?.finish()))
-        })
-        .collect();
-    if let Some(start) = gather_start {
-        recorder.observe("shard.gather_us", start.elapsed().as_micros() as u64);
+        results.push(Ok(gathered.finish()));
     }
     Ok(results)
 }
@@ -461,12 +434,12 @@ pub fn execute_query_with_delta(
     q: &SliceQuery,
 ) -> Result<Vec<QueryRow>> {
     let source = QuerySource { gen, delta, env };
-    let mut results =
-        execute_queries(&[source], |_, _| true, 1, catalog, std::slice::from_ref(q))?;
+    let mut results = execute_queries(&[source], catalog, std::slice::from_ref(q))?;
     results.pop().unwrap_or_else(|| Err(CtError::invalid("batch of one left no answer")))
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::forest::CubetreeForest;

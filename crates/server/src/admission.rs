@@ -166,9 +166,9 @@ impl Admission {
     /// one pinned snapshot and, if the cache admitted it, populates. A hit is
     /// labelled with the generation of the stamps that matched — the match
     /// proves the visible state equals the one the rows were computed from,
-    /// and the last stamp carries the engine-wide generation (the unsharded
-    /// engine's only stamp, the sharded engine's plan guard); reading
-    /// `engine.generation()` again could race a refresh and mislabel the rows.
+    /// and the last stamp carries the engine-wide generation (a Cubetree
+    /// answer's only stamp); reading `engine.generation()` again could race a
+    /// refresh and mislabel the rows.
     /// The engine isolates panics: a panicking query comes back as `Err`.
     fn answer(&self, query: &SliceQuery) -> Result<QueryAnswer, String> {
         let mut populate = None;

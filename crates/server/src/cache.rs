@@ -448,14 +448,15 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stamps_match_only_in_full() {
+    fn multi_stamp_entries_match_only_in_full() {
         let (cache, _) = cache(CacheConfig { admission_threshold: 1, ..CacheConfig::default() });
         let key = key_of(&[(0, 2)]);
-        let stored = vec![stamp(2, 5), stamp(9, 0)]; // shard stamp + plan guard
+        // `ServedAnswer.stamps` is a list: every element must match.
+        let stored = vec![stamp(2, 5), stamp(9, 0)];
         cache.probe(&key, &stored);
         cache.populate(key.clone(), stored.clone(), rows(1));
         assert!(matches!(cache.probe(&key, &stored), Probe::Hit(_)));
-        // Guard moved (a refresh on a non-consulted shard): must miss.
+        // Only the second stamp moved: must miss.
         assert!(matches!(cache.probe(&key, &[stamp(2, 5), stamp(10, 0)]), Probe::Miss { .. }));
     }
 }

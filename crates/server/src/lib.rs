@@ -125,10 +125,9 @@ pub struct ServerHandle {
 }
 
 impl CtServer {
-    /// Binds `config.addr` and starts serving `engine` — the single
-    /// [`cubetree::CubetreeEngine`] or a [`cubetree::ShardedEngine`]
-    /// (`Arc<ConcreteEngine>` coerces at the call site); routes fan out
-    /// across shards and merge before serialization.
+    /// Binds `config.addr` and starts serving `engine`, typically a loaded
+    /// [`cubetree::CubetreeEngine`] (`Arc<ConcreteEngine>` coerces at the
+    /// call site).
     ///
     /// # Errors
     /// [`CtError::InvalidArgument`] if the engine has not been loaded;

@@ -92,8 +92,8 @@ impl EnvDir {
 ///
 /// `threads = 1` is the fully sequential legacy pipeline. Larger values let
 /// the external sorter overlap run generation with input consumption, the
-/// k-way merge prefetch run pages, the forest build/refresh dispatch one
-/// job per Cubetree, and a sharded engine fan a query out to its shards.
+/// k-way merge prefetch run pages, and the forest build/refresh dispatch one
+/// job per Cubetree.
 /// The simulated-I/O totals are identical for every value, for builds,
 /// refreshes and queries alike: each worker touches its own files in the
 /// same per-file page order the sequential pipeline would, the counters
@@ -378,25 +378,8 @@ impl StorageEnv {
     /// build-then-swap: before it the old file set is live, after it the new
     /// one is, and recovery deletes whichever side lost.
     pub fn commit_manifest(&self, entries: Vec<ManifestEntry>) -> Result<()> {
-        self.commit_manifest_inner(entries, None)
-    }
-
-    /// [`StorageEnv::commit_manifest`] with a commit *stamp*: an opaque
-    /// token (e.g. a sharded refresh id) recorded in the manifest and
-    /// carried forward by every later unstamped commit. Multi-shard crash
-    /// recovery reads it back via [`StorageEnv::manifest`] to decide whether
-    /// this environment committed a given refresh.
-    pub fn commit_manifest_stamped(&self, entries: Vec<ManifestEntry>, stamp: &str) -> Result<()> {
-        self.commit_manifest_inner(entries, Some(stamp))
-    }
-
-    fn commit_manifest_inner(&self, entries: Vec<ManifestEntry>, stamp: Option<&str>) -> Result<()> {
         let mut man = self.manifest.lock();
-        let stamp = match stamp {
-            Some(s) => Some(s.to_string()),
-            None => man.stamp.clone(),
-        };
-        let next = Manifest { seq: man.seq + 1, stamp, entries };
+        let next = Manifest { seq: man.seq + 1, entries };
         next.write_atomic(self.dir.path(), &self.faults)?;
         *man = next;
         self.manifest_commits.inc();

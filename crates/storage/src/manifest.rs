@@ -17,16 +17,10 @@
 //! ```text
 //! cubetrees-manifest v2
 //! seq 3
-//! stamp refresh-7
 //! file cubetree-0 0007-cubetree-0-gen1.pages 12 f00dfeedcafe1234
 //! file view-5 0002-view-5.pages 3 0123456789abcdef
 //! crc 55aa55aa55aa55aa
 //! ```
-//!
-//! The `stamp` line is optional: a *stamped* commit (a sharded refresh)
-//! records its refresh id there, and every later unstamped commit carries
-//! the token forward, so crash recovery can tell whether a given refresh
-//! landed on this environment.
 //!
 //! The trailing `crc` line is the workspace checksum
 //! ([`crate::page::checksum`]) of everything before it, so a torn manifest
@@ -80,12 +74,6 @@ pub struct ManifestEntry {
 pub struct Manifest {
     /// Monotone commit counter (each [`Manifest::write_atomic`] bumps it).
     pub seq: u64,
-    /// Opaque token identifying the last *stamped* commit (e.g. a sharded
-    /// refresh id). Ordinary commits carry the previous stamp forward, so a
-    /// later compaction cannot erase the evidence that a stamped refresh
-    /// landed; multi-shard recovery checks this token to decide whether a
-    /// shard committed a given refresh.
-    pub stamp: Option<String>,
     /// The live component → file bindings, in commit order.
     pub entries: Vec<ManifestEntry>,
 }
@@ -103,14 +91,6 @@ impl Manifest {
     /// [`CtError::InvalidArgument`].
     pub fn encode(&self) -> Result<String> {
         let mut body = format!("{HEADER}\nseq {}\n", self.seq);
-        if let Some(stamp) = &self.stamp {
-            if stamp.is_empty() || stamp.chars().any(char::is_whitespace) {
-                return Err(CtError::invalid(format!(
-                    "manifest stamp {stamp:?} must be one non-empty token"
-                )));
-            }
-            body.push_str(&format!("stamp {stamp}\n"));
-        }
         for e in &self.entries {
             for (what, s) in [("component", &e.component), ("file", &e.file)] {
                 if s.is_empty() || s.chars().any(char::is_whitespace) {
@@ -159,20 +139,11 @@ impl Manifest {
             .and_then(|l| l.strip_prefix("seq "))
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| corrupt("bad seq line"))?;
-        let mut stamp = None;
         let mut entries = Vec::new();
         for line in lines {
             let mut tok = line.split_whitespace();
-            match tok.next() {
-                Some("file") => {}
-                Some("stamp") => {
-                    match (tok.next(), tok.next()) {
-                        (Some(s), None) => stamp = Some(s.to_string()),
-                        _ => return Err(corrupt("malformed stamp record")),
-                    }
-                    continue;
-                }
-                _ => return Err(corrupt("unknown record")),
+            if tok.next() != Some("file") {
+                return Err(corrupt("unknown record"));
             }
             let (component, file, pages, sum) =
                 match (tok.next(), tok.next(), tok.next(), tok.next(), tok.next()) {
@@ -186,7 +157,7 @@ impl Manifest {
                 checksum: u64::from_str_radix(sum, 16).map_err(|_| corrupt("bad checksum"))?,
             });
         }
-        Ok(Manifest { seq, stamp, entries })
+        Ok(Manifest { seq, entries })
     }
 
     /// Loads the manifest from `dir`, or `Ok(None)` if none was ever
@@ -313,7 +284,6 @@ mod tests {
     fn sample() -> Manifest {
         Manifest {
             seq: 7,
-            stamp: None,
             entries: vec![
                 ManifestEntry {
                     component: "cubetree-0".into(),
@@ -340,19 +310,17 @@ mod tests {
     }
 
     #[test]
-    fn stamp_roundtrips_and_is_validated() {
-        let mut m = sample();
-        m.stamp = Some("refresh-42".into());
-        let text = m.encode().unwrap();
-        assert_eq!(Manifest::decode(&text).unwrap(), m);
-        // A stamp must be one whitespace-free token.
-        m.stamp = Some("two words".into());
-        assert!(m.encode().is_err());
-        m.stamp = Some(String::new());
-        assert!(m.encode().is_err());
-        // Stampless manifests (every pre-existing one) still decode.
+    fn a_manifest_with_a_stamp_line_is_refused_as_an_unknown_record() {
+        // What a shard's refresh used to commit: a `stamp` line after `seq`,
+        // under a crc that is valid for the whole body.
         let plain = sample().encode().unwrap();
-        assert_eq!(Manifest::decode(&plain).unwrap().stamp, None);
+        let body_end = plain.rfind("crc ").unwrap();
+        let body = plain[..body_end].replacen("seq 7\n", "seq 7\nstamp refresh-42\n", 1);
+        let stamped = format!("{body}crc {:016x}\n", checksum(body.as_bytes()));
+        match Manifest::decode(&stamped) {
+            Err(CtError::Corrupt(msg)) => assert_eq!(msg, "manifest: unknown record"),
+            other => panic!("expected the unknown-record refusal, got {other:?}"),
+        }
     }
 
     #[test]
@@ -434,7 +402,6 @@ mod tests {
         std::fs::write(&live, b"live-bytes").unwrap();
         let m = Manifest {
             seq: 1,
-            stamp: None,
             entries: vec![ManifestEntry {
                 component: "t".into(),
                 file: "0001-live.pages".into(),
@@ -463,7 +430,6 @@ mod tests {
         std::fs::write(dir.path().join("0001-t.pages"), b"good").unwrap();
         let m = Manifest {
             seq: 1,
-            stamp: None,
             entries: vec![ManifestEntry {
                 component: "t".into(),
                 file: "0001-t.pages".into(),

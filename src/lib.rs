@@ -39,4 +39,3 @@ pub use ct_tpcd::{TpcdConfig, TpcdWarehouse};
 pub use cubetree::engine::{
     ConventionalConfig, ConventionalEngine, CubetreeConfig, CubetreeEngine, RolapEngine,
 };
-pub use cubetree::shard::{ShardRouter, ShardSpec, ShardedConfig, ShardedEngine};

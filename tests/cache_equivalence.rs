@@ -8,7 +8,7 @@
 //! * **Bit-identity proptest** — a random op sequence runs against two
 //!   identically built engines, one serving through a cache-enabled
 //!   admission handle and one cache-disabled; every query answer must match
-//!   exactly. Swept over both `CubetreeEngine` and `ShardedEngine`.
+//!   exactly.
 //! * **No pre-refresh answers after the flip** — a directed test warms the
 //!   cache, refreshes with a delta that changes the answer, and asserts
 //!   the next response carries the post-refresh rows (the stamp mismatch
@@ -18,11 +18,6 @@
 //!   handle while a refresh flips the generation; every answer must equal
 //!   `engine.query()` at the generation it is stamped with, and the
 //!   in-flight accounting must come back to zero.
-//! * **Sharded subset hits** — an ingest routed to a shard a query never
-//!   consults must keep that query's stamps matching (the entry keeps
-//!   hitting), while a refresh anywhere must invalidate (central planning
-//!   sums entry counts over all shards, so any refresh can flip a plan —
-//!   the trailing plan-guard stamp makes that a structural mismatch).
 
 use std::sync::Arc;
 
@@ -32,8 +27,7 @@ use cubetrees_repro::core::ServingEngine;
 use cubetrees_repro::server::admission::{Admission, AdmissionConfig};
 use cubetrees_repro::server::cache::{AnswerCache, CacheConfig};
 use cubetrees_repro::{
-    AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, ShardSpec,
-    ShardedConfig, ShardedEngine, SliceQuery, ViewDef,
+    AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef,
 };
 use proptest::prelude::*;
 
@@ -68,7 +62,7 @@ fn lcg_fact(p: AttrId, s: AttrId, c: AttrId, rows: usize, mut x: u64) -> Relatio
 }
 
 /// A query mix spanning the classes the cache key must distinguish:
-/// fan-outs, partition-pruned slices, ranges, and repeated hot queries.
+/// group-bys, equality slices, ranges, and repeated hot queries.
 fn query_classes(p: AttrId, s: AttrId, c: AttrId) -> Vec<SliceQuery> {
     vec![
         SliceQuery::new(vec![c], vec![]),
@@ -150,23 +144,11 @@ fn run_ops(
     answers
 }
 
-fn build_unsharded() -> Arc<CubetreeEngine> {
+fn build_engine() -> Arc<CubetreeEngine> {
     let (cat, p, s, c) = catalog();
     let fact = lcg_fact(p, s, c, 200, 0xC0FFEE);
     let config = CubetreeConfig::new(views(p, s, c)).with_recorder(ct_obs::Recorder::enabled());
     let mut e = CubetreeEngine::new(cat, config).unwrap();
-    e.load(&fact).unwrap();
-    Arc::new(e)
-}
-
-fn build_sharded(shards: usize) -> Arc<ShardedEngine> {
-    let (cat, p, s, c) = catalog();
-    let fact = lcg_fact(p, s, c, 200, 0xC0FFEE);
-    let config = ShardedConfig::new(
-        CubetreeConfig::new(views(p, s, c)).with_recorder(ct_obs::Recorder::enabled()),
-        ShardSpec::new(shards).with_partition_attr(p),
-    );
-    let mut e = ShardedEngine::new(cat, config).unwrap();
     e.load(&fact).unwrap();
     Arc::new(e)
 }
@@ -180,20 +162,8 @@ proptest! {
     ) {
         let (_, p, s, c) = catalog();
         let queries = query_classes(p, s, c);
-        let cached = run_ops(build_unsharded(), true, &ops, &queries, (p, s, c));
-        let plain = run_ops(build_unsharded(), false, &ops, &queries, (p, s, c));
-        prop_assert_eq!(cached, plain);
-    }
-
-    #[test]
-    fn cached_answers_are_bit_identical_sharded(
-        ops in proptest::collection::vec(op_strategy(), 1..20),
-        shards in 2usize..4
-    ) {
-        let (_, p, s, c) = catalog();
-        let queries = query_classes(p, s, c);
-        let cached = run_ops(build_sharded(shards), true, &ops, &queries, (p, s, c));
-        let plain = run_ops(build_sharded(shards), false, &ops, &queries, (p, s, c));
+        let cached = run_ops(build_engine(), true, &ops, &queries, (p, s, c));
+        let plain = run_ops(build_engine(), false, &ops, &queries, (p, s, c));
         prop_assert_eq!(cached, plain);
     }
 }
@@ -203,7 +173,7 @@ proptest! {
 /// probe is a counted invalidation followed by a fresh execution.
 #[test]
 fn refresh_flip_invalidates_cached_answers() {
-    let engine = build_unsharded();
+    let engine = build_engine();
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 1)]);
@@ -251,7 +221,7 @@ fn refresh_flip_invalidates_cached_answers() {
 fn concurrent_submits_during_refresh_match_fresh_queries() {
     const THREADS: usize = 4;
     const SUBMITS: usize = 200;
-    let engine = build_unsharded();
+    let engine = build_engine();
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let queries = query_classes(p, s, c);
@@ -304,7 +274,7 @@ fn concurrent_submits_during_refresh_match_fresh_queries() {
 /// moved.
 #[test]
 fn ingest_invalidates_cached_answers() {
-    let engine = build_unsharded();
+    let engine = build_engine();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 2)]);
     let admission = cached_admission(engine.clone());
@@ -319,117 +289,5 @@ fn ingest_invalidates_cached_answers() {
     let after = ask();
     assert_ne!(after, before, "the ingested row must be visible");
     assert_eq!(after, normalize_rows(engine.query(&q).expect("fresh")));
-    admission.shutdown();
-}
-
-/// Sharded stamping: an ingest routed to a shard the query never consults
-/// keeps the query's stamps matching (subset hits survive), while a
-/// refresh anywhere changes the plan-guard stamp (central planning sums
-/// entry counts over every shard, so any refresh may flip a plan).
-#[test]
-fn sharded_stamps_survive_foreign_ingest_but_not_refresh() {
-    let engine = build_sharded(3);
-    let (_, p, s, c) = catalog();
-    // Pruned to the shard owning p=1.
-    let q = SliceQuery::new(vec![s], vec![(p, 1)]);
-    let baseline = ServingEngine::answer_stamps(&*engine, &q);
-    assert!(!baseline.is_empty(), "loaded engine must stamp");
-
-    // Find a partition value on a different shard: ingesting it must not
-    // disturb q's stamps. With 12 values on 3 shards some value always
-    // lands elsewhere.
-    let mut foreign = None;
-    for v in 2..=12u64 {
-        let before = ServingEngine::answer_stamps(&*engine, &q);
-        let probe_rows = Relation::from_fact(vec![p, s, c], vec![v, 1, 1], &[1]);
-        ServingEngine::ingest(&*engine, &probe_rows).expect("ingest");
-        if ServingEngine::answer_stamps(&*engine, &q) == before {
-            foreign = Some(v);
-            break;
-        }
-    }
-    let foreign = foreign.expect("some partition value routes to another shard");
-
-    // More foreign ingests keep the stamps stable: cached entries for q
-    // keep hitting while other shards absorb writes.
-    let stable = ServingEngine::answer_stamps(&*engine, &q);
-    let more = Relation::from_fact(
-        vec![p, s, c],
-        vec![foreign, 2, 3, foreign, 4, 5],
-        &[7, 9],
-    );
-    ServingEngine::ingest(&*engine, &more).expect("ingest");
-    assert_eq!(
-        ServingEngine::answer_stamps(&*engine, &q),
-        stable,
-        "ingest to a non-consulted shard must not invalidate"
-    );
-    // But an ingest to q's own shard must.
-    let own = Relation::from_fact(vec![p, s, c], vec![1, 1, 1], &[11]);
-    ServingEngine::ingest(&*engine, &own).expect("ingest");
-    assert_ne!(
-        ServingEngine::answer_stamps(&*engine, &q),
-        stable,
-        "ingest to the consulted shard must invalidate"
-    );
-
-    // A refresh — even one whose rows all route to the foreign shard —
-    // moves the plan guard: entry counts feed central planning, so cached
-    // plans (and pruned answers) are not provably stable.
-    let before_refresh = ServingEngine::answer_stamps(&*engine, &q);
-    let refresh_delta = Relation::from_fact(vec![p, s, c], vec![foreign, 1, 1], &[13]);
-    ServingEngine::refresh(&*engine, &refresh_delta).expect("refresh");
-    assert_ne!(
-        ServingEngine::answer_stamps(&*engine, &q),
-        before_refresh,
-        "a refresh anywhere must change the plan-guard stamp"
-    );
-}
-
-/// End-to-end sharded hit accounting: a warmed pruned query keeps hitting
-/// across foreign-shard ingests, through the real admission path.
-#[test]
-fn sharded_subset_hits_survive_foreign_ingest() {
-    let engine = build_sharded(3);
-    let recorder = ServingEngine::recorder(&*engine).clone();
-    let (_, p, s, c) = catalog();
-    let q = SliceQuery::new(vec![s], vec![(p, 1)]);
-    let admission = cached_admission(engine.clone());
-    let ask = || {
-        let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
-        normalize_rows(reply.expect("answer").rows.to_vec())
-    };
-    let before = ask(); // populates
-    let baseline = ServingEngine::answer_stamps(&*engine, &q);
-    // Find a foreign partition value as above.
-    let mut foreign = None;
-    for v in 2..=12u64 {
-        let stamps = ServingEngine::answer_stamps(&*engine, &q);
-        let rows = Relation::from_fact(vec![p, s, c], vec![v, 1, 1], &[1]);
-        ServingEngine::ingest(&*engine, &rows).expect("ingest");
-        if ServingEngine::answer_stamps(&*engine, &q) == stamps {
-            foreign = Some(v);
-            break;
-        }
-    }
-    if foreign.is_none() {
-        // Every probe value shared q's shard (possible but vanishingly
-        // unlikely); the property is vacuous for this layout.
-        admission.shutdown();
-        return;
-    }
-    // The entry was populated before the probe loop; if the loop's first
-    // probes hit q's own shard the stamps moved and the entry is stale, so
-    // re-warm before measuring.
-    if ServingEngine::answer_stamps(&*engine, &q) != baseline {
-        assert_eq!(ask(), before, "re-warm after own-shard ingest");
-    }
-    let hits_before = recorder.counter("cache.hits").get();
-    assert_eq!(ask(), before, "answer unchanged by foreign ingests");
-    assert_eq!(
-        recorder.counter("cache.hits").get(),
-        hits_before + 1,
-        "a foreign-shard ingest must not break the hit streak"
-    );
     admission.shutdown();
 }

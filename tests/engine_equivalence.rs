@@ -275,3 +275,45 @@ fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
         "the refresh rewrote every tree in the configured format: {packed_bytes} vs {elided_bytes} bytes"
     );
 }
+
+/// `CubetreeEngine::open_at` over a persistent directory: a fresh directory
+/// opens (and reopens) unloaded; an engine that loaded, refreshed, ingested
+/// and compacted there reopens after a drop at the same generation, and
+/// answers like a reference engine that made the same moves in memory.
+#[test]
+fn a_persistent_engine_reopens_at_its_last_commit() {
+    use cubetrees_repro::core::ServingEngine;
+    use cubetrees_repro::storage::TempDir;
+
+    let w = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.002, seed: 67 });
+    let streamed = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.002, seed: 68 });
+    let (fact, delta, rows) =
+        (w.generate_fact(), w.generate_increment(0.1), streamed.generate_increment(0.05));
+    let cfg = paper_configs(&w).cubetree;
+    let a = *w.attrs();
+    let queries = all_slice_types([a.partkey, a.suppkey, a.custkey], [5, 3, 7]);
+    let answers = |e: &CubetreeEngine| -> Vec<Vec<QueryRow>> {
+        queries.iter().map(|q| normalize_rows(e.query(q).unwrap())).collect()
+    };
+    let dir = TempDir::new("engine-reopen").unwrap();
+    let open = || CubetreeEngine::open_at(dir.path(), w.catalog().clone(), cfg.clone()).unwrap();
+
+    assert!(open().forest().is_none(), "a fresh directory opens unloaded");
+    assert!(open().forest().is_none(), "and reopens unloaded: nothing was committed");
+
+    let mut reference = CubetreeEngine::new(w.catalog().clone(), cfg.clone()).unwrap();
+    let mut engine = open();
+    for e in [&mut engine, &mut reference] {
+        e.load(&fact).unwrap();
+        e.update(&delta).unwrap();
+        e.ingest(&rows).unwrap();
+        assert!(e.compact_delta().unwrap(), "the ingested rows compact");
+    }
+    let generation = ServingEngine::generation(&engine);
+    assert_eq!(generation, ServingEngine::generation(&reference));
+    drop(engine);
+
+    let reopened = open();
+    assert_eq!(ServingEngine::generation(&reopened), generation);
+    assert_eq!(answers(&reopened), answers(&reference));
+}
