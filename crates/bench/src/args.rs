@@ -24,9 +24,6 @@ pub struct BenchArgs {
     /// on-disk state recoverable — a command-line probe of the crash-safety
     /// contract.
     pub faults: u64,
-    /// Zipf skew of the generated query stream (0 = the historical
-    /// uniform workload, byte-identical).
-    pub skew: f64,
 }
 
 impl Default for BenchArgs {
@@ -40,7 +37,6 @@ impl Default for BenchArgs {
             metrics: None,
             threads: 1,
             faults: 0,
-            skew: 0.0,
         }
     }
 }
@@ -83,18 +79,10 @@ impl BenchArgs {
                 "--faults" => {
                     out.faults = value("--faults").parse().expect("--faults takes an int")
                 }
-                "--skew" => {
-                    out.skew = value("--skew").parse().expect("--skew takes a float");
-                    assert!(
-                        out.skew >= 0.0 && out.skew.is_finite(),
-                        "--skew takes a finite non-negative float"
-                    );
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: [--sf F] [--seed N] [--queries N] [--pool-frac F] \
-                         [--json PATH] [--metrics PATH] [--threads N] [--faults N] \
-                         [--skew F]"
+                         [--json PATH] [--metrics PATH] [--threads N] [--faults N]"
                     );
                     std::process::exit(0);
                 }
@@ -181,14 +169,6 @@ mod tests {
         assert_eq!(a.threads, 4);
         let z = BenchArgs::parse_from(["--threads", "0"].iter().map(|s| s.to_string()));
         assert_eq!(z.threads, 1, "zero clamps to sequential");
-    }
-
-    #[test]
-    fn skew_parses_with_uniform_default() {
-        let d = BenchArgs::parse_from(Vec::<String>::new());
-        assert_eq!(d.skew, 0.0, "default is the uniform workload");
-        let a = BenchArgs::parse_from(["--skew", "1.1"].iter().map(|s| s.to_string()));
-        assert_eq!(a.skew, 1.1);
     }
 
     #[test]

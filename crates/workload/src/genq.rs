@@ -136,7 +136,8 @@ impl QueryGenerator {
     /// Inverse-CDF Zipf rank draw. The uniform variate comes from an
     /// integer draw (the vendored RNG has no float ranges).
     fn zipf_rank(&mut self) -> usize {
-        let total = *self.zipf_cdf.last().expect("skew enabled");
+        // Skew is non-zero here, so the CDF holds HOT_POOL entries.
+        let total = self.zipf_cdf.last().copied().unwrap_or(0.0);
         let u = self.rng.gen_range(0..u64::MAX) as f64 / u64::MAX as f64 * total;
         self.zipf_cdf.partition_point(|&c| c <= u).min(HOT_POOL - 1)
     }
@@ -199,6 +200,7 @@ impl QueryGenerator {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::Catalog;

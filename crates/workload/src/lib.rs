@@ -11,8 +11,10 @@
 //! * [`paper`] — the exact configurations of the paper's §3 experiment: the
 //!   selected view set `V`, index set `I` for the conventional engine, and
 //!   the two extra sort-order replicas of the top view for the Cubetrees;
-//! * [`serving`] — closed/open-loop HTTP load generation against a running
-//!   ct-server, with coordinated-omission-free latency accounting.
+//! * [`serving`] — a minimal HTTP client and request bodies for a running
+//!   ct-server.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod genq;
 pub mod paper;
@@ -21,5 +23,4 @@ pub mod serving;
 
 pub use genq::QueryGenerator;
 pub use paper::{paper_configs, PaperSetup};
-pub use runner::{run_batch, run_mixed_refresh, BatchStats, MixedStats};
-pub use serving::{run_serving, LoopMode, ServingConfig, ServingStats};
+pub use runner::{run_batch, BatchStats};

@@ -6,11 +6,8 @@
 
 use ct_common::query::QueryRow;
 use ct_common::stats::percentile_nearest_rank;
-use ct_common::{CtError, Result, SliceQuery};
-use cubetree::engine::{CubetreeEngine, RolapEngine};
-use cubetree::query::execute_query_with_delta;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use ct_common::{Result, SliceQuery};
+use cubetree::engine::RolapEngine;
 use std::time::Instant;
 
 /// Measurements for one executed query.
@@ -160,136 +157,8 @@ pub fn run_batch(engine: &dyn RolapEngine, queries: &[SliceQuery]) -> Result<Bat
     Ok(stats)
 }
 
-/// Results of one mixed read/refresh run (see [`run_mixed_refresh`]).
-#[derive(Clone, Debug)]
-pub struct MixedStats {
-    /// Update cycles committed by the writer.
-    pub cycles: usize,
-    /// Reader probe batches completed across all reader threads.
-    pub reads: u64,
-    /// Distinct generation numbers the readers pinned, ascending.
-    pub generations_seen: Vec<u64>,
-    /// Batches whose answers did not match the committed generation they
-    /// pinned. Any non-zero value is a snapshot-isolation violation.
-    pub mismatches: u64,
-}
-
-/// Checksum of one probe batch's answers: the order-insensitive row
-/// checksum summed across probes (the same scheme [`run_batch`] uses).
-fn probe_checksum(
-    gen: &cubetree::Generation,
-    engine: &CubetreeEngine,
-    probes: &[SliceQuery],
-) -> Result<u64> {
-    let mut sum = 0u64;
-    for q in probes {
-        let mut rows = execute_query_with_delta(gen, None, engine.env(), engine.catalog(), q)?;
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
-        sum = sum.wrapping_add(checksum_rows(&rows));
-    }
-    Ok(sum)
-}
-
-/// Drives a mixed read/update workload: `readers` threads continuously pin
-/// the forest and run the `probes` batch while this thread commits one
-/// refresh per relation in `deltas` — queries run *during* the merge-pack,
-/// the manifest flip and the old generation's reclamation.
-///
-/// After each commit the writer records the new generation's expected probe
-/// checksum; every reader batch is validated against the checksum of the
-/// generation it pinned. The writer paces itself so each generation is
-/// observed at least once by every reader before the next cycle commits.
-///
-/// Run this with a disabled or dedicated recorder: concurrent root "query"
-/// phases cannot split the shared I/O counters, so phase-level attribution
-/// is smeared across readers in mixed mode (see OBSERVABILITY.md).
-pub fn run_mixed_refresh(
-    engine: &CubetreeEngine,
-    probes: &[SliceQuery],
-    deltas: &[ct_cube::Relation],
-    readers: usize,
-) -> Result<MixedStats> {
-    let forest = engine
-        .forest()
-        .ok_or_else(|| CtError::invalid("run_mixed_refresh needs a loaded engine"))?;
-    // expected[g] = probe checksum of generation g, filled by the writer
-    // right after g commits. A reader can pin g before the writer finishes
-    // computing the entry, so readers record observations and validate at
-    // the end rather than racing the table.
-    let expected: Mutex<std::collections::BTreeMap<u64, u64>> = Mutex::new(
-        std::collections::BTreeMap::new(),
-    );
-    {
-        let pin = forest.pin();
-        let sum = probe_checksum(&pin, engine, probes)?;
-        expected.lock().unwrap().insert(pin.number(), sum);
-    }
-    let done = AtomicBool::new(false);
-    // 1 + the highest generation number any completed reader batch has
-    // pinned (0 = none yet); the writer paces on it so every generation is
-    // observed while current.
-    let latest_read = AtomicU64::new(0);
-    let observed: Mutex<Vec<(u64, u64)>> = Mutex::new(Vec::new());
-    let cycles = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(readers.max(1));
-        for _ in 0..readers.max(1) {
-            handles.push(scope.spawn(|| -> Result<()> {
-                let mut local: Vec<(u64, u64)> = Vec::new();
-                while !done.load(Ordering::Acquire) {
-                    let pin = forest.pin();
-                    let sum = probe_checksum(&pin, engine, probes)?;
-                    local.push((pin.number(), sum));
-                    latest_read.fetch_max(pin.number() + 1, Ordering::AcqRel);
-                }
-                observed.lock().unwrap().extend(local);
-                Ok(())
-            }));
-        }
-        let writer = scope.spawn(|| -> Result<usize> {
-            let mut cycles = 0usize;
-            // Every generation, the initial one included, must be pinned by
-            // at least one completed reader batch before it is replaced.
-            while latest_read.load(Ordering::Acquire) <= forest.generation_number() {
-                std::thread::yield_now();
-            }
-            for delta in deltas {
-                engine.refresh(delta)?;
-                cycles += 1;
-                let pin = forest.pin();
-                let sum = probe_checksum(&pin, engine, probes)?;
-                let number = pin.number();
-                expected.lock().unwrap().insert(number, sum);
-                drop(pin);
-                while latest_read.load(Ordering::Acquire) <= number {
-                    std::thread::yield_now();
-                }
-            }
-            Ok(cycles)
-        });
-        let cycles = writer.join().expect("writer thread must not panic");
-        done.store(true, Ordering::Release);
-        for h in handles {
-            h.join().expect("reader thread must not panic")?;
-        }
-        cycles
-    })?;
-    let expected = expected.into_inner().unwrap();
-    let observed = observed.into_inner().unwrap();
-    let mut generations_seen: Vec<u64> = Vec::new();
-    let mut mismatches = 0u64;
-    for (gen, sum) in &observed {
-        if !generations_seen.contains(gen) {
-            generations_seen.push(*gen);
-        }
-        if expected.get(gen) != Some(sum) {
-            mismatches += 1;
-        }
-    }
-    generations_seen.sort_unstable();
-    Ok(MixedStats { cycles, reads: observed.len() as u64, generations_seen, mismatches })
-}
-
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::genq::QueryGenerator;
@@ -372,43 +241,5 @@ mod tests {
         assert_eq!(stats.percentile_wall(75.0), 3.0);
         assert_eq!(stats.percentile_wall(100.0), 4.0);
         assert_eq!(stats.percentile_sim(100.0), 40.0);
-    }
-
-    /// Readers querying *during* refresh cycles: every batch must match
-    /// the generation it pinned, and every generation must get observed.
-    #[test]
-    fn mixed_reads_and_refreshes_are_snapshot_consistent() {
-        let w = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.002, seed: 21 });
-        let fact = w.generate_fact();
-        let setup = paper_configs(&w);
-        let mut engine =
-            CubetreeEngine::new(w.catalog().clone(), setup.cubetree.clone()).unwrap();
-        engine.load(&fact).unwrap();
-
-        let a = w.attrs();
-        let mut generator =
-            QueryGenerator::new(w.catalog(), vec![a.partkey, a.suppkey, a.custkey], 13);
-        let probes = generator.batch(6);
-        // Three refresh cycles over slices of a second generated fact.
-        let extra = TpcdWarehouse::new(TpcdConfig { scale_factor: 0.002, seed: 22 })
-            .generate_fact();
-        let deltas: Vec<_> = (0..3)
-            .map(|i| {
-                let lo = i * 40;
-                let keys: Vec<u64> = (lo..lo + 40)
-                    .flat_map(|r| extra.key(r).to_vec())
-                    .collect();
-                let measures: Vec<i64> =
-                    (lo..lo + 40).map(|r| extra.states[r].sum).collect();
-                ct_cube::Relation::from_fact(extra.attrs.clone(), keys, &measures)
-            })
-            .collect();
-
-        let stats = run_mixed_refresh(&engine, &probes, &deltas, 3).unwrap();
-        assert_eq!(stats.cycles, 3);
-        assert_eq!(stats.mismatches, 0, "a reader saw a torn generation");
-        // The pacing guarantees every committed generation was pinned.
-        assert_eq!(stats.generations_seen, vec![0, 1, 2, 3]);
-        assert!(stats.reads >= 9);
     }
 }

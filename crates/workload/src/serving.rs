@@ -1,117 +1,17 @@
-//! Closed- and open-loop load generation against a running ct-server.
+//! A minimal HTTP client and request bodies for a running ct-server.
 //!
-//! Each simulated client owns one keep-alive HTTP/1.1 connection over
-//! [`std::net::TcpStream`] and its own deterministic query stream. A
-//! *closed-loop* client sends its next request as soon as the previous
-//! answer arrives (throughput adapts to the server); an *open-loop* client
-//! fires at a fixed arrival rate and measures latency from the *intended*
-//! send time, so queueing delay is charged to the server rather than
-//! silently absorbed (no coordinated omission).
+//! [`HttpClient`] holds one keep-alive HTTP/1.1 connection over
+//! [`std::net::TcpStream`]; [`query_body`] renders a slice query as the
+//! JSON body `POST /query` accepts.
 //!
-//! The generator deliberately does not depend on the `ct-server` crate —
-//! it speaks the wire protocol, which keeps the crate graph acyclic and
-//! means the load generator exercises the same path a real client would.
+//! The client deliberately does not depend on the `ct-server` crate — it
+//! speaks the wire protocol, which keeps the crate graph acyclic and means
+//! callers exercise the same path a real client would.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 
-use ct_common::stats::percentile_nearest_rank;
 use ct_common::{AttrId, Catalog, CtError, Result, SliceQuery};
-
-use crate::genq::QueryGenerator;
-
-/// Arrival discipline of the simulated clients.
-#[derive(Clone, Copy, Debug)]
-pub enum LoopMode {
-    /// Send the next request when the previous answer returns.
-    Closed,
-    /// Fire at a fixed aggregate arrival rate (queries/second across all
-    /// clients), measuring latency from the intended send time.
-    Open {
-        /// Aggregate arrival rate in queries per second.
-        rate_qps: f64,
-    },
-}
-
-/// Load-generator configuration.
-#[derive(Clone, Debug)]
-pub struct ServingConfig {
-    /// Concurrent clients (threads, one connection each).
-    pub clients: usize,
-    /// Requests each client sends.
-    pub requests_per_client: usize,
-    /// Arrival discipline.
-    pub mode: LoopMode,
-    /// Fraction of requests that drill into the top lattice node (all base
-    /// attributes) instead of a random slice elsewhere in the lattice.
-    pub drilldown_frac: f64,
-    /// Fraction of requests asking for CSV instead of JSON.
-    pub csv_frac: f64,
-    /// Fraction of requests that `POST /ingest` a batch of fresh fact rows
-    /// instead of querying (`0.0` = pure read workload).
-    pub ingest_frac: f64,
-    /// Rows per ingested batch.
-    pub ingest_rows: usize,
-    /// Zipf skew of each client's query stream over its hot pool
-    /// ([`QueryGenerator::with_skew`]); `0.0` keeps the historical uniform
-    /// stream byte-identical.
-    pub skew: f64,
-    /// Workload seed; client `i` streams queries from `seed + i`.
-    pub seed: u64,
-}
-
-impl Default for ServingConfig {
-    fn default() -> Self {
-        ServingConfig {
-            clients: 4,
-            requests_per_client: 50,
-            mode: LoopMode::Closed,
-            drilldown_frac: 0.5,
-            csv_frac: 0.25,
-            ingest_frac: 0.0,
-            ingest_rows: 8,
-            skew: 0.0,
-            seed: 42,
-        }
-    }
-}
-
-/// Aggregate results of one serving run.
-#[derive(Clone, Debug, Default)]
-pub struct ServingStats {
-    /// Requests sent.
-    pub requests: u64,
-    /// `200` answers.
-    pub ok: u64,
-    /// `429` admission refusals.
-    pub rejected: u64,
-    /// Transport failures and non-200/429 statuses.
-    pub errors: u64,
-    /// Fact rows acknowledged by `POST /ingest` (`200` answers only).
-    pub ingested_rows: u64,
-    /// Wall-clock duration of the whole run in seconds.
-    pub wall_secs: f64,
-    /// Per-success latency in seconds (closed: send→answer; open:
-    /// intended-send→answer).
-    pub latencies: Vec<f64>,
-}
-
-impl ServingStats {
-    /// Successful answers per wall-clock second.
-    pub fn qps(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.ok as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// The `p`-th latency percentile in seconds (nearest rank).
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile_nearest_rank(self.latencies.iter().copied(), p)
-    }
-}
 
 /// Renders a slice query as a `POST /query` JSON body. Attribute names are
 /// JSON-safe by construction (schema identifiers), so plain quoting works.
@@ -133,42 +33,6 @@ pub fn query_body(catalog: &Catalog, q: &SliceQuery, csv: bool) -> String {
         body.push_str(", \"format\": \"csv\"");
     }
     body.push('}');
-    body
-}
-
-/// Renders a deterministic batch of fresh fact rows as a `POST /ingest`
-/// (or `/refresh`) JSON body. Keys are drawn uniformly from each
-/// attribute's domain off the caller's RNG state; measures are small
-/// positive integers.
-pub fn ingest_body(
-    catalog: &Catalog,
-    base: &[AttrId],
-    rows: usize,
-    rng: &mut u64,
-) -> String {
-    let next = |rng: &mut u64| {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        *rng
-    };
-    let names: Vec<String> =
-        base.iter().map(|a| format!("\"{}\"", catalog.attr(*a).name)).collect();
-    let mut body = format!("{{\"attrs\": [{}], \"rows\": [", names.join(", "));
-    for r in 0..rows {
-        if r > 0 {
-            body.push_str(", ");
-        }
-        body.push('[');
-        for a in base {
-            let card = catalog.attr(*a).cardinality;
-            body.push_str(&(next(rng) % card + 1).to_string());
-            body.push_str(", ");
-        }
-        body.push_str(&(next(rng) % 50 + 1).to_string());
-        body.push(']');
-    }
-    body.push_str("]}");
     body
 }
 
@@ -271,131 +135,6 @@ impl HttpClient {
     }
 }
 
-/// Runs the configured client fleet against `addr` and aggregates stats.
-///
-/// `base` is the base-attribute set queries draw from (the same set the
-/// engine's views were selected over).
-///
-/// # Errors
-/// Fails only if a client thread cannot connect at start-up; per-request
-/// transport errors are counted in [`ServingStats::errors`].
-pub fn run_serving(
-    addr: &str,
-    catalog: &Catalog,
-    base: Vec<AttrId>,
-    cfg: &ServingConfig,
-) -> Result<ServingStats> {
-    let started = Instant::now();
-    let per_client_interval = match cfg.mode {
-        LoopMode::Closed => None,
-        LoopMode::Open { rate_qps } => {
-            let per_client = (rate_qps / cfg.clients.max(1) as f64).max(1e-6);
-            Some(Duration::from_secs_f64(1.0 / per_client))
-        }
-    };
-    let mut stats = ServingStats::default();
-    std::thread::scope(|scope| -> Result<()> {
-        let mut handles = Vec::new();
-        for client in 0..cfg.clients {
-            let base = base.clone();
-            handles.push(scope.spawn(move || -> Result<ServingStats> {
-                client_loop(addr, catalog, base, cfg, client, per_client_interval)
-            }));
-        }
-        for h in handles {
-            let client_stats = h.join().expect("client thread panicked")?;
-            stats.requests += client_stats.requests;
-            stats.ok += client_stats.ok;
-            stats.rejected += client_stats.rejected;
-            stats.errors += client_stats.errors;
-            stats.ingested_rows += client_stats.ingested_rows;
-            stats.latencies.extend(client_stats.latencies);
-        }
-        Ok(())
-    })?;
-    stats.wall_secs = started.elapsed().as_secs_f64();
-    Ok(stats)
-}
-
-fn client_loop(
-    addr: &str,
-    catalog: &Catalog,
-    base: Vec<AttrId>,
-    cfg: &ServingConfig,
-    client: usize,
-    interval: Option<Duration>,
-) -> Result<ServingStats> {
-    let mut stats = ServingStats::default();
-    let mut client_conn = HttpClient::connect(addr)?;
-    let top_mask = (1usize << base.len()) - 1;
-    let base_attrs = base.clone();
-    let mut generator =
-        QueryGenerator::new(catalog, base, cfg.seed + client as u64).with_skew(cfg.skew);
-    // A cheap deterministic stream for the drilldown/CSV mix decisions,
-    // independent of the query stream so the mix is stable per request
-    // index whatever the queries are.
-    let mut mix = cfg.seed ^ (0x9E3779B97F4A7C15u64.wrapping_mul(client as u64 + 1));
-    let mut next_mix = move || {
-        mix ^= mix << 13;
-        mix ^= mix >> 7;
-        mix ^= mix << 17;
-        (mix >> 11) as f64 / (1u64 << 53) as f64
-    };
-    // Separate stream for ingest row keys so adding writes to the mix does
-    // not perturb the query stream at a given request index.
-    let mut ingest_rng = cfg.seed ^ 0xA5A5_A5A5_A5A5_A5A5 ^ ((client as u64) << 32) | 1;
-    let started = Instant::now();
-    for i in 0..cfg.requests_per_client {
-        // Guarded draw: a pure read workload (`ingest_frac` 0) consumes no
-        // extra mix state, so its query stream is unchanged from before
-        // ingestion existed.
-        let ingesting = cfg.ingest_frac > 0.0 && next_mix() < cfg.ingest_frac;
-        let (path, body, batch_rows) = if ingesting {
-            let body = ingest_body(catalog, &base_attrs, cfg.ingest_rows, &mut ingest_rng);
-            ("/ingest", body, cfg.ingest_rows as u64)
-        } else {
-            let q = if next_mix() < cfg.drilldown_frac {
-                generator.next_query_on(top_mask)
-            } else {
-                generator.next_query()
-            };
-            let csv = next_mix() < cfg.csv_frac;
-            ("/query", query_body(catalog, &q, csv), 0)
-        };
-        // Open loop: wait for the scheduled arrival; latency clock starts
-        // at the *intended* send time even if the previous answer was late.
-        let reference = match interval {
-            Some(gap) => {
-                let due = gap * i as u32;
-                if let Some(sleep) = due.checked_sub(started.elapsed()) {
-                    std::thread::sleep(sleep);
-                }
-                started + due
-            }
-            None => Instant::now(),
-        };
-        stats.requests += 1;
-        match client_conn.request("POST", path, &body) {
-            Ok(reply) if reply.status == 200 => {
-                stats.ok += 1;
-                stats.ingested_rows += batch_rows;
-                stats.latencies.push(reference.elapsed().as_secs_f64());
-            }
-            Ok(reply) if reply.status == 429 => stats.rejected += 1,
-            Ok(_) => stats.errors += 1,
-            Err(_) => {
-                stats.errors += 1;
-                // One reconnect attempt; a second failure ends the client.
-                match HttpClient::connect(addr) {
-                    Ok(fresh) => client_conn = fresh,
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,53 +159,5 @@ mod tests {
             query_body(&c, &ranged, true),
             r#"{"group_by": ["suppkey"], "ranges": {"partkey": [2, 5]}, "format": "csv"}"#
         );
-    }
-
-    #[test]
-    fn ingest_body_is_deterministic_and_in_domain() {
-        let (c, base) = catalog();
-        let mut rng = 7;
-        let body = ingest_body(&c, &base, 3, &mut rng);
-        let mut rng2 = 7;
-        assert_eq!(body, ingest_body(&c, &base, 3, &mut rng2), "same seed, same batch");
-        let mut rng3 = 8;
-        assert_ne!(body, ingest_body(&c, &base, 3, &mut rng3), "seed changes the batch");
-        assert!(body.starts_with(r#"{"attrs": ["partkey", "suppkey"], "rows": ["#));
-        // Every row is [p, s, m] with p in 1..=10, s in 1..=5, m in 1..=50.
-        let rows: Vec<Vec<u64>> = body
-            .split('[')
-            .skip(2)
-            .map(|r| {
-                r.split(|ch: char| !ch.is_ascii_digit())
-                    .filter(|t| !t.is_empty())
-                    .map(|t| t.parse().unwrap())
-                    .collect()
-            })
-            .filter(|r: &Vec<u64>| !r.is_empty())
-            .collect();
-        assert_eq!(rows.len(), 3);
-        for row in rows {
-            assert_eq!(row.len(), 3);
-            assert!((1..=10).contains(&row[0]) && (1..=5).contains(&row[1]));
-            assert!((1..=50).contains(&row[2]));
-        }
-    }
-
-    #[test]
-    fn stats_aggregate_and_percentiles() {
-        let stats = ServingStats {
-            requests: 4,
-            ok: 4,
-            rejected: 0,
-            errors: 0,
-            ingested_rows: 0,
-            wall_secs: 2.0,
-            latencies: vec![0.004, 0.001, 0.003, 0.002],
-        };
-        assert_eq!(stats.qps(), 2.0);
-        assert_eq!(stats.percentile(50.0), 0.002);
-        assert_eq!(stats.percentile(100.0), 0.004);
-        assert_eq!(ServingStats::default().qps(), 0.0);
-        assert_eq!(ServingStats::default().percentile(99.0), 0.0);
     }
 }

@@ -10,9 +10,10 @@
 //!   admission handle and one cache-disabled; every query answer must match
 //!   exactly.
 //! * **No pre-refresh answers after the flip** — a directed test warms the
-//!   cache, refreshes with a delta that changes the answer, and asserts
-//!   the next response carries the post-refresh rows (the stamp mismatch
-//!   is counted as `cache.invalidations`).
+//!   cache, checks that the hit read no page and touched no tuple,
+//!   refreshes with a delta that changes the answer, and asserts the next
+//!   response carries the post-refresh rows (the stamp mismatch is counted
+//!   as `cache.invalidations`).
 //! * **Concurrent submitters during a refresh** — queries run on their
 //!   submitters' threads, so four threads submit through one cache-enabled
 //!   handle while a refresh flips the generation; every answer must equal
@@ -184,9 +185,17 @@ fn refresh_flip_invalidates_cached_answers() {
         (answer.generation, normalize_rows(answer.rows.to_vec()))
     };
     let (gen0, before) = ask("warm");
-    // Second ask is a hit (the first populated at threshold 1).
+    // Second ask is a hit (the first populated at threshold 1), and a hit
+    // replays memoized rows: it reads no page and touches no tuple.
+    let io_before = engine.env().snapshot();
     assert_eq!(ask("hit").1, before);
+    let hit_io = engine.env().snapshot().since(&io_before);
     assert!(recorder.counter("cache.hits").get() >= 1, "warm query should hit");
+    assert_eq!(
+        (hit_io.seq_reads, hit_io.rand_reads, hit_io.buffer_hits, hit_io.tuples),
+        (0, 0, 0, 0),
+        "a cache hit must cost no I/O: {hit_io:?}"
+    );
 
     // A delta guaranteed to change the p=1 slice: every row has p=1.
     let delta = Relation::from_fact(

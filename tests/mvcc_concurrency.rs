@@ -21,6 +21,7 @@ use cubetrees_repro::core::AnswerStamp;
 use cubetrees_repro::{
     AggFn, Catalog, CubetreeConfig, CubetreeEngine, Relation, RolapEngine, SliceQuery, ViewDef,
 };
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 const READERS: usize = 4;
@@ -87,8 +88,8 @@ fn normalize(mut rows: Vec<QueryRow>) -> Vec<QueryRow> {
 }
 
 /// N reader threads × M update cycles: every pinned batch must answer
-/// exactly like the generation it pinned, and the writer's commits must not
-/// disturb in-flight pins.
+/// exactly like the generation it pinned, the writer's commits must not
+/// disturb in-flight pins, and every committed generation must be read.
 #[test]
 fn readers_always_match_exactly_one_committed_generation() {
     let cat = catalog();
@@ -119,47 +120,64 @@ fn readers_always_match_exactly_one_committed_generation() {
     engine.load(&relation(&cat, fact_keys, &fact_measures)).unwrap();
     let engine = engine; // shared from here on: refresh() takes &self
 
+    let forest = engine.forest().unwrap();
     let done = AtomicBool::new(false);
-    let batches = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..READERS {
-            scope.spawn(|| {
-                let forest = engine.forest().unwrap();
-                while !done.load(Ordering::Acquire) {
-                    let pin = forest.pin();
-                    let g = pin.number() as usize;
-                    assert!(g <= UPDATE_CYCLES, "generation beyond the committed set");
-                    for (i, q) in qs.iter().enumerate() {
-                        let got = normalize(
-                            execute_query_with_delta(&pin, None, engine.env(), &cat, q).unwrap(),
-                        );
-                        assert_eq!(
-                            got, expected[g][i],
-                            "probe {i} diverged from pinned generation {g}"
-                        );
+    // 1 + the highest generation a completed reader batch pinned (0 = none
+    // yet); the writer paces on it.
+    let read_through = AtomicU64::new(0);
+    let pinned: BTreeSet<u64> = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut pinned = BTreeSet::new();
+                    while !done.load(Ordering::Acquire) {
+                        let pin = forest.pin();
+                        let g = pin.number() as usize;
+                        assert!(g <= UPDATE_CYCLES, "generation beyond the committed set");
+                        for (i, q) in qs.iter().enumerate() {
+                            let got = normalize(
+                                execute_query_with_delta(&pin, None, engine.env(), &cat, q)
+                                    .unwrap(),
+                            );
+                            assert_eq!(
+                                got, expected[g][i],
+                                "probe {i} diverged from pinned generation {g}"
+                            );
+                        }
+                        pinned.insert(pin.number());
+                        read_through.fetch_max(pin.number() + 1, Ordering::AcqRel);
                     }
-                    batches.fetch_add(1, Ordering::Release);
-                }
-            });
-        }
-        // Writer: commit each cycle, then let at least one full reader
-        // batch land before the next so every generation gets observed
-        // while it is current.
-        for (keys, measures) in &deltas {
-            let seen = batches.load(Ordering::Acquire);
-            engine.refresh(&relation(&cat, keys.clone(), measures)).unwrap();
-            while batches.load(Ordering::Acquire) < seen + READERS as u64 {
+                    pinned
+                })
+            })
+            .collect();
+        // Writer: replace a generation only once a completed reader batch
+        // pinned it, so every generation, the loaded one included, is read
+        // while it is current. Counting batches would not do: batches that
+        // pinned the previous generation before the commit count too.
+        let wait_until_read = |generation: u64| {
+            while read_through.load(Ordering::Acquire) <= generation {
+                assert!(!readers.iter().all(|r| r.is_finished()), "every reader stopped");
                 std::thread::yield_now();
             }
+        };
+        wait_until_read(forest.generation_number());
+        for (keys, measures) in &deltas {
+            engine.refresh(&relation(&cat, keys.clone(), measures)).unwrap();
+            wait_until_read(forest.generation_number());
         }
         done.store(true, Ordering::Release);
+        readers.into_iter().flat_map(|r| r.join().unwrap()).collect()
     });
-    assert_eq!(engine.forest().unwrap().generation_number(), UPDATE_CYCLES as u64);
-    assert!(batches.load(Ordering::Acquire) >= (READERS * UPDATE_CYCLES) as u64);
+    assert_eq!(forest.generation_number(), UPDATE_CYCLES as u64);
+    assert_eq!(
+        pinned,
+        (0..=UPDATE_CYCLES as u64).collect::<BTreeSet<_>>(),
+        "every committed generation must be pinned by a completed batch"
+    );
 
     // Quiesced: the final generation answers the reference for the full
     // accumulated fact.
-    let forest = engine.forest().unwrap();
     let pin = forest.pin();
     for (i, q) in qs.iter().enumerate() {
         let got =
