@@ -142,40 +142,6 @@ pub struct QueryKey {
 }
 
 impl QueryKey {
-    /// A stable 64-bit digest (FNV-1a over the canonical encoding), suitable
-    /// for the answer cache's lock-shard selection and frequency sketch.
-    /// Deterministic across runs and platforms, unlike [`std::hash::Hash`]
-    /// through a keyed hasher.
-    /// It hashes a few dozen bytes per query and is not on the I/O path;
-    /// page and manifest sums use `ct_storage::page::checksum`.
-    pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.group_by.len() as u64);
-        for a in &self.group_by {
-            eat(u64::from(a.0));
-        }
-        eat(self.predicates.len() as u64);
-        for (a, v) in &self.predicates {
-            eat(u64::from(a.0));
-            eat(*v);
-        }
-        eat(self.ranges.len() as u64);
-        for (a, lo, hi) in &self.ranges {
-            eat(u64::from(a.0));
-            eat(*lo);
-            eat(*hi);
-        }
-        h
-    }
-
     /// Approximate heap bytes this key holds (cache byte accounting).
     pub fn approx_bytes(&self) -> u64 {
         (self.group_by.len() * std::mem::size_of::<AttrId>()
@@ -294,7 +260,6 @@ mod tests {
         let a = SliceQuery::new(vec![cu], vec![(p, 1), (s, 2)]);
         let b = SliceQuery::new(vec![cu], vec![(s, 2), (p, 1)]);
         assert_eq!(a.cache_key(), b.cache_key(), "WHERE order is not identity");
-        assert_eq!(a.cache_key().digest(), b.cache_key().digest());
         // Group-by order shapes the result rows, so it stays significant.
         let c = SliceQuery::new(vec![p, s], vec![]);
         let d = SliceQuery::new(vec![s, p], vec![]);
@@ -302,15 +267,14 @@ mod tests {
         // Different constants are different questions.
         let e = SliceQuery::new(vec![cu], vec![(p, 1), (s, 3)]);
         assert_ne!(a.cache_key(), e.cache_key());
-        assert_ne!(a.cache_key().digest(), e.cache_key().digest());
         assert!(a.cache_key().approx_bytes() > 0);
     }
 
     #[test]
-    fn cache_key_digest_is_stable_across_calls() {
+    fn ranges_are_part_of_the_cache_key() {
         let (_, p, s, _) = catalog();
         let q = SliceQuery::new(vec![s], vec![(p, 7)]).with_range(AttrId(2), 1, 4);
-        assert_eq!(q.cache_key().digest(), q.cache_key().digest());
+        assert_eq!(q.cache_key(), q.cache_key());
         let trimmed = SliceQuery::new(vec![s], vec![(p, 7)]);
         assert_ne!(q.cache_key(), trimmed.cache_key(), "ranges are part of the key");
     }

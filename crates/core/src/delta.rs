@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Size/age thresholds that decide when the resident delta should be
+/// Row/age thresholds that decide when the resident delta should be
 /// compacted into the forest (checked by callers — typically a background
 /// thread — via [`DeltaTier::should_compact`]).
 #[derive(Clone, Debug)]
@@ -66,23 +66,24 @@ pub struct DeltaConfig {
     /// Compact once this many groups are resident. A group is counted once
     /// per run that holds it, until a run merge folds the copies.
     pub max_rows: u64,
-    /// Compact once the resident approximation exceeds this many bytes.
-    pub max_bytes: u64,
     /// Compact once the oldest resident row has waited this long.
     pub max_age: Duration,
 }
 
 impl Default for DeltaConfig {
-    /// The row trigger sits where a four-attribute tier reaches the byte
-    /// budget (200,000 rows x 80 bytes = 16 MB). Reading the tier costs
-    /// O(log resident + matching rows), so its size is bounded by memory
-    /// and by how long rows may wait for the trees, not by query cost; and a
-    /// merge-pack rewrites the whole forest whatever the batch, so larger
-    /// batches mean proportionally less compaction work per ingested row.
+    /// 200,000 groups of a four-attribute tier hold about 16 MB (80 bytes a
+    /// group: 12 per key column, 32 for the aggregate state and
+    /// permutations), so the row trigger is also the memory bound. Reading
+    /// the tier costs O(log resident + matching rows), so its size is bounded
+    /// by memory and by how long rows may wait for the trees, not by query
+    /// cost; and a merge-pack rewrites the whole forest whatever the batch,
+    /// so larger batches mean proportionally less compaction work per
+    /// ingested row. The server derives its ingest cap (`4 × max_rows`) and
+    /// its compactor's poll interval (`max_age / 16`, within 5–100 ms) from
+    /// these two values.
     fn default() -> Self {
         DeltaConfig {
             max_rows: 200_000,
-            max_bytes: 16 << 20,
             max_age: Duration::from_secs(30),
         }
     }
@@ -99,8 +100,6 @@ pub struct DeltaStats {
     pub sealed_rows: u64,
     /// Raw fact rows ingested and still resident (pre-grouping).
     pub source_rows: u64,
-    /// Approximate resident bytes (keys, aggregate states, permutations).
-    pub bytes: u64,
     /// Sealed runs awaiting compaction.
     pub sealed_tiers: usize,
     /// Age of the oldest resident row, if any rows are resident.
@@ -613,7 +612,6 @@ impl DeltaTier {
             active_rows: st.active_rows,
             sealed_rows: st.sealed_rows,
             source_rows: st.source_rows,
-            bytes: (st.active_rows + st.sealed_rows) * self.bytes_per_group(),
             sealed_tiers: st.sealed,
             // Runs are listed oldest first, and a merged run keeps the
             // arrival time of its oldest input.
@@ -628,7 +626,6 @@ impl DeltaTier {
             return false;
         }
         s.resident_rows() >= config.max_rows
-            || s.bytes >= config.max_bytes
             || s.oldest.is_some_and(|age| age >= config.max_age)
     }
 }
@@ -769,11 +766,7 @@ mod tests {
     #[test]
     fn thresholds_drive_should_compact() {
         let (t, [a, b]) = tier();
-        let cfg = DeltaConfig {
-            max_rows: 2,
-            max_bytes: u64::MAX,
-            max_age: Duration::MAX,
-        };
+        let cfg = DeltaConfig { max_rows: 2, max_age: Duration::MAX };
         assert!(!t.should_compact(&cfg), "empty tier never compacts");
         t.ingest(&Relation::from_fact(vec![a, b], vec![1, 1], &[1]))
             .unwrap();
@@ -781,13 +774,8 @@ mod tests {
         t.ingest(&Relation::from_fact(vec![a, b], vec![2, 2], &[1]))
             .unwrap();
         assert!(t.should_compact(&cfg));
-        let aged = DeltaConfig {
-            max_rows: u64::MAX,
-            max_bytes: u64::MAX,
-            max_age: Duration::ZERO,
-        };
+        let aged = DeltaConfig { max_rows: u64::MAX, max_age: Duration::ZERO };
         assert!(t.should_compact(&aged), "resident rows are older than zero");
-        assert_eq!(t.stats().bytes, 2 * (2 * 12 + 32));
     }
 
     #[test]

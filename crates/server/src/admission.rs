@@ -11,8 +11,6 @@
 //! `serve_ingest_mix` p99 up 1.3–1.5×, outside its bound (DESIGN.md,
 //! "Admission control"). Cache hits never take the mutex.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -21,21 +19,19 @@ use ct_common::query::{normalize_rows, QueryRow};
 use ct_common::SliceQuery;
 use cubetree::ServingEngine;
 
-use crate::cache::{AnswerCache, Probe};
+use crate::cache::AnswerCache;
 
-/// Tuning knobs for admission control.
+/// Admission-control tuning.
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
     /// Most queries admitted and not yet answered (one executing, the rest
     /// parked behind it); a submit beyond it is refused (429).
     pub max_depth: usize,
-    /// Advertised `Retry-After` (seconds) on refused submissions.
-    pub retry_after_secs: u64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig { max_depth: 256, retry_after_secs: 1 }
+        AdmissionConfig { max_depth: 256 }
     }
 }
 
@@ -52,10 +48,7 @@ pub struct QueryAnswer {
 #[derive(Debug)]
 pub enum SubmitError {
     /// `max_depth` queries are in flight; the HTTP layer answers `429`.
-    Overloaded {
-        /// Seconds the client should wait before retrying.
-        retry_after_secs: u64,
-    },
+    Overloaded,
     /// [`Admission::shutdown`] has been called. The HTTP layer answers `503`.
     ShuttingDown,
 }
@@ -139,8 +132,7 @@ impl Admission {
             let mut in_flight = lock(&self.in_flight);
             if *in_flight >= self.config.max_depth {
                 self.rejected.inc();
-                let retry_after_secs = self.config.retry_after_secs;
-                return Err(SubmitError::Overloaded { retry_after_secs });
+                return Err(SubmitError::Overloaded);
             }
             *in_flight += 1;
             self.depth.set(*in_flight as f64);
@@ -163,8 +155,8 @@ impl Admission {
     /// Probes the cache with the engine's current
     /// [`answer stamps`](ServingEngine::answer_stamps): a hit shares the
     /// memoized rows (no planning, no pin, no page I/O); a miss executes under
-    /// one pinned snapshot and, if the cache admitted it, populates. A hit is
-    /// labelled with the generation of the stamps that matched — the match
+    /// one pinned snapshot and populates. A hit is labelled with the
+    /// generation of the stamps that matched — the match
     /// proves the visible state equals the one the rows were computed from,
     /// and the last stamp carries the engine-wide generation (a Cubetree
     /// answer's only stamp); reading `engine.generation()` again could race a
@@ -175,14 +167,12 @@ impl Admission {
         if let Some(cache) = &self.cache {
             let key = query.cache_key();
             let stamps = self.engine.answer_stamps(query);
-            match cache.probe(&key, &stamps) {
-                Probe::Hit(rows) => {
-                    let generation =
-                        stamps.last().map_or_else(|| self.engine.generation(), |s| s.generation);
-                    return Ok(QueryAnswer { generation, rows });
-                }
-                Probe::Miss { admit } => populate = admit.then_some((cache, key)),
+            if let Some(rows) = cache.probe(&key, &stamps) {
+                let generation =
+                    stamps.last().map_or_else(|| self.engine.generation(), |s| s.generation);
+                return Ok(QueryAnswer { generation, rows });
             }
+            populate = Some((cache, key));
         }
         let (generation, mut answers) = {
             let _one_at_a_time = lock(&self.executing);
@@ -198,7 +188,6 @@ impl Admission {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::{AggFn, Catalog, ViewDef};
@@ -244,7 +233,7 @@ mod tests {
         while_parked: impl FnOnce(&Admission, &SliceQuery),
     ) -> Vec<Result<QueryAnswer, String>> {
         let engine = tiny_engine(2);
-        let cfg = AdmissionConfig { max_depth: 2, retry_after_secs: 7 };
+        let cfg = AdmissionConfig { max_depth: 2 };
         let admission = Admission::start(engine.clone(), cfg, None);
         let q = query_for(&engine);
         std::thread::scope(|s| {
@@ -261,13 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn overload_is_refused_with_retry_after() {
+    fn overload_is_refused() {
         let answers = with_two_parked(|admission, q| {
             let refused = admission.submit(q.clone()).unwrap_err();
-            assert!(
-                matches!(refused, SubmitError::Overloaded { retry_after_secs: 7 }),
-                "{refused:?}"
-            );
+            assert!(matches!(refused, SubmitError::Overloaded), "{refused:?}");
         });
         assert!(answers.iter().all(Result::is_ok), "{answers:?}");
     }

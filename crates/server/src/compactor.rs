@@ -1,8 +1,8 @@
 //! Background delta-tier compaction for the serving layer.
 //!
 //! `POST /ingest` lands rows in the engine's in-memory delta tier; this
-//! module's [`Compactor`] thread watches the tier's size/age against
-//! [`IngestConfig`] thresholds and triggers the forest's merge-pack
+//! module's [`Compactor`] thread watches the tier's rows and age against
+//! the [`IngestConfig`] thresholds and triggers the forest's merge-pack
 //! ([`ServingEngine::compact_delta`]) when any is exceeded. Ingestion
 //! never stalls behind a compaction — the tier seals its active runs and
 //! keeps absorbing into fresh ones — and a failed compaction
@@ -14,35 +14,19 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use cubetree::delta::DeltaConfig;
 use cubetree::ServingEngine;
 
-/// Streaming-ingestion tuning: when to compact, and when to push back.
-#[derive(Clone, Debug)]
-pub struct IngestConfig {
-    /// Size/age thresholds that trigger a background compaction.
-    pub delta: DeltaConfig,
-    /// How often the compactor re-checks the thresholds.
-    pub check_interval: Duration,
-    /// Hard cap on resident delta rows: `/ingest` answers `429` +
-    /// `Retry-After` above it, so a compactor that cannot keep up degrades
-    /// into backpressure instead of unbounded memory growth (the write-side
-    /// analogue of admission's `max_depth` bound).
-    pub hard_max_rows: u64,
-    /// Advertised `Retry-After` (seconds) on refused ingests.
-    pub retry_after_secs: u64,
-}
+/// Streaming-ingestion tuning: the tier's row and age thresholds. `/ingest`
+/// answers `429` once `4 × max_rows` rows are resident, so a compactor that
+/// cannot keep up degrades into backpressure instead of unbounded memory
+/// growth (the write-side analogue of admission's `max_depth` bound).
+pub use cubetree::delta::DeltaConfig as IngestConfig;
 
-impl Default for IngestConfig {
-    fn default() -> Self {
-        let delta = DeltaConfig::default();
-        IngestConfig {
-            hard_max_rows: delta.max_rows.saturating_mul(4),
-            delta,
-            check_interval: Duration::from_millis(100),
-            retry_after_secs: 1,
-        }
-    }
+/// How often the compactor re-checks the thresholds: a sixteenth of
+/// `max_age`, clamped to 5–100 ms, so an aged tier waits at most that long
+/// past its deadline.
+fn poll_every(config: &IngestConfig) -> Duration {
+    (config.max_age / 16).clamp(Duration::from_millis(5), Duration::from_millis(100))
 }
 
 struct Shared {
@@ -93,13 +77,13 @@ fn run(engine: Arc<dyn ServingEngine>, shared: Arc<Shared>, config: IngestConfig
             }
             let (stop, _timeout) = shared
                 .wake
-                .wait_timeout(stop, config.check_interval)
+                .wait_timeout(stop, poll_every(&config))
                 .unwrap_or_else(|e| e.into_inner());
             if *stop {
                 break;
             }
         }
-        let due = engine.compaction_due(&config.delta);
+        let due = engine.compaction_due(&config);
         if due {
             if let Err(e) = engine.compact_delta() {
                 // The sealed runs stay resident and queryable; log, count,
@@ -140,15 +124,7 @@ mod tests {
         let e = engine();
         let p = RolapEngine::catalog(&*e).attr_by_name("p").unwrap();
         let s = RolapEngine::catalog(&*e).attr_by_name("s").unwrap();
-        let config = IngestConfig {
-            delta: DeltaConfig {
-                max_rows: 2,
-                max_bytes: u64::MAX,
-                max_age: Duration::from_secs(3600),
-            },
-            check_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        };
+        let config = IngestConfig { max_rows: 2, max_age: Duration::from_secs(3600) };
         let compactor = Compactor::start(e.clone(), config);
         e.ingest(&Relation::from_fact(vec![p, s], vec![2, 2, 3, 3], &[5, 7])).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -165,5 +141,14 @@ mod tests {
         let total = e.query(&SliceQuery::new(vec![], vec![])).unwrap();
         assert_eq!(total[0].agg, 31.0, "all ingested rows survive in the trees");
         compactor.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn poll_interval_follows_max_age() {
+        let every =
+            |ms| poll_every(&IngestConfig { max_rows: 1, max_age: Duration::from_millis(ms) });
+        assert_eq!(every(30_000), Duration::from_millis(100));
+        assert_eq!(every(400), Duration::from_millis(25));
+        assert_eq!(every(50), Duration::from_millis(5));
     }
 }

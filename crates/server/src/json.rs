@@ -33,7 +33,7 @@ impl Json {
     /// # Errors
     /// A human-readable message naming the byte offset of the problem.
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -138,6 +138,7 @@ pub fn number(v: f64) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -201,7 +202,8 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
+        let text =
+            self.text.get(start..self.pos).ok_or_else(|| format!("bad number at byte {start}"))?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))
@@ -240,11 +242,13 @@ impl<'a> Parser<'a> {
                     return Err(format!("raw control byte in string at {}", self.pos));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // encoding is already valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. Every other step advances
+                    // over ASCII, so `pos` sits on a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid utf-8 at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -23,7 +23,7 @@
 //! connection's own thread through [`admission`]: an answer-cache probe,
 //! and on a miss one execution against one pinned generation — one query
 //! executes at a time, and at most `max_depth` wait their turn. Beyond
-//! that bound the server answers `429` + `Retry-After` instead of letting
+//! that bound the server answers `429` + `Retry-After: 1` instead of letting
 //! waiters pile up. `POST /refresh` runs the generation-MVCC
 //! merge-pack concurrently with in-flight reads: queries admitted before
 //! the flip answer from the old generation, queries after from the new,
@@ -33,10 +33,10 @@
 //! in-memory delta tier and are visible to the very next query (merged on
 //! top of the pinned generation's tree answers), long before any
 //! merge-pack runs. A background [`compactor`] thread folds the tier into
-//! the packed trees when it exceeds size/age thresholds, and a hard cap on
-//! resident rows turns a lagging compactor into `429` backpressure instead
-//! of unbounded memory growth. Shutdown drains: the compactor's final
-//! merge-pack persists every acknowledged ingest.
+//! the packed trees when it exceeds its row or age threshold, and a hard cap
+//! of four times the row threshold turns a lagging compactor into `429`
+//! backpressure instead of unbounded memory growth. Shutdown drains: the
+//! compactor's final merge-pack persists every acknowledged ingest.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -55,6 +55,15 @@
 //! println!("serving on http://{}", server.addr());
 //! server.shutdown();
 //! ```
+//!
+//! ## Configuration
+//!
+//! [`ServerConfig`] has five settable values: the bind `addr`,
+//! `admission.max_depth`, `ingest.max_rows`, `ingest.max_age` and
+//! `cache.max_bytes` (`0` turns the answer cache off). Everything else is
+//! derived from them or constant; SERVING.md lists each with its default.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
 pub mod cache;
@@ -83,12 +92,12 @@ pub struct ServerConfig {
     /// Bind address; port `0` asks the OS for an ephemeral port (the bound
     /// address is reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Admission-control tuning (in-flight bound, `Retry-After`).
+    /// Admission control: the in-flight query bound.
     pub admission: AdmissionConfig,
-    /// Streaming-ingestion thresholds and backpressure tuning.
+    /// Delta-tier compaction thresholds (rows, age); the ingest cap derives
+    /// from the row threshold.
     pub ingest: IngestConfig,
-    /// Generation-keyed answer-cache tuning (disable switch, byte budget,
-    /// admission threshold).
+    /// Answer-cache byte budget (`0` disables the cache).
     pub cache: CacheConfig,
 }
 

@@ -17,6 +17,10 @@ use crate::compactor::IngestConfig;
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
 
+/// Advertised `Retry-After` (seconds) on every `429`, from `/query` and
+/// `/ingest` alike.
+const RETRY_AFTER_SECS: u64 = 1;
+
 /// A handler failure: status + message, rendered as `{"error": "..."}`.
 #[derive(Debug)]
 pub struct ApiError {
@@ -162,12 +166,12 @@ fn handle_query(
     };
     let answered = match admission.submit(validated.query) {
         Ok(answered) => answered,
-        Err(crate::admission::SubmitError::Overloaded { retry_after_secs }) => {
+        Err(crate::admission::SubmitError::Overloaded) => {
             return Response::json(
                 429,
                 "{\"error\": \"too many queries in flight, retry later\"}".to_string(),
             )
-            .with_header("retry-after", retry_after_secs.to_string());
+            .with_header("retry-after", RETRY_AFTER_SECS.to_string());
         }
         Err(crate::admission::SubmitError::ShuttingDown) => {
             return Response::json(
@@ -529,9 +533,9 @@ fn parse_fact_body(
 ///
 /// Backpressure mirrors the read path's admission control: `503` while the
 /// server is shutting down (no new rows once the final drain may have
-/// started), `429` + `Retry-After` once the resident tier exceeds
-/// [`IngestConfig::hard_max_rows`] — the compactor is behind, so the client
-/// should back off rather than grow the tier without bound.
+/// started), `429` + `Retry-After` once the resident tier reaches
+/// `4 × max_rows` — the compactor is behind, so the client should back off
+/// rather than grow the tier without bound.
 fn handle_ingest(
     engine: &dyn ServingEngine,
     admission: &Admission,
@@ -543,14 +547,14 @@ fn handle_ingest(
     }
     let resident =
         engine.delta_stats().map_or(0, |s| s.resident_rows());
-    if resident >= config.hard_max_rows {
+    if resident >= config.max_rows.saturating_mul(4) {
         return Response::json(
             429,
             format!(
                 "{{\"error\": \"delta tier full ({resident} rows resident), retry later\"}}"
             ),
         )
-        .with_header("retry-after", config.retry_after_secs.to_string());
+        .with_header("retry-after", RETRY_AFTER_SECS.to_string());
     }
     let rows = match parse_fact_body(engine.catalog(), req, "ingest") {
         Ok(rows) => rows,
@@ -794,13 +798,13 @@ mod tests {
     #[test]
     fn ingest_backpressure_and_shutdown() {
         let mut c = ctx();
-        c.ingest.hard_max_rows = 1;
-        let ok = c.dispatch(&post(
-            "/ingest",
-            r#"{"attrs": ["partkey", "suppkey"], "rows": [[4, 4, 7]]}"#,
-        ));
-        assert_eq!(ok.status, 200, "{}", body_text(&ok));
-        // Resident rows now ≥ hard_max_rows: the next ingest is refused
+        c.ingest.max_rows = 1;
+        for row in ["[4, 4, 7]", "[5, 4, 7]", "[6, 4, 7]", "[7, 4, 7]"] {
+            let body = format!(r#"{{"attrs": ["partkey", "suppkey"], "rows": [{row}]}}"#);
+            let ok = c.dispatch(&post("/ingest", &body));
+            assert_eq!(ok.status, 200, "{}", body_text(&ok));
+        }
+        // Resident rows now ≥ 4 × max_rows: the next ingest is refused
         // with backpressure, not absorbed.
         let full = c.dispatch(&post(
             "/ingest",
@@ -808,7 +812,7 @@ mod tests {
         ));
         assert_eq!(full.status, 429, "{}", body_text(&full));
         assert!(
-            full.extra_headers.iter().any(|(k, _)| k == "retry-after"),
+            full.extra_headers.iter().any(|(k, v)| k == "retry-after" && v == "1"),
             "429 advertises retry-after"
         );
         // After shutdown begins, ingest answers 503 regardless of capacity.

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --release --example ingest_smoke`
 
-use cubetrees_repro::core::delta::DeltaConfig;
 use cubetrees_repro::server::compactor::IngestConfig;
 use cubetrees_repro::server::{CtServer, ServerConfig};
 use cubetrees_repro::workload::serving::HttpClient;
@@ -45,17 +44,10 @@ fn main() {
     let mut engine = CubetreeEngine::new(catalog, CubetreeConfig::new(views)).unwrap();
     engine.load(&fact).unwrap();
 
-    // Size/byte thresholds out of reach; only the age trigger fires, well
+    // The row threshold is out of reach; only the age trigger fires, well
     // after the freshness probe below but quickly enough to watch here.
     let config = ServerConfig {
-        ingest: IngestConfig {
-            delta: DeltaConfig {
-                max_age: Duration::from_millis(400),
-                ..DeltaConfig::default()
-            },
-            check_interval: Duration::from_millis(25),
-            ..IngestConfig::default()
-        },
+        ingest: IngestConfig { max_age: Duration::from_millis(400), ..IngestConfig::default() },
         ..ServerConfig::default()
     };
     let server = CtServer::start(Arc::new(engine), config).unwrap();

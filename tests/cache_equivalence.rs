@@ -8,7 +8,9 @@
 //! * **Bit-identity proptest** — a random op sequence runs against two
 //!   identically built engines, one serving through a cache-enabled
 //!   admission handle and one cache-disabled; every query answer must match
-//!   exactly.
+//!   exactly. The cache-enabled side runs twice: at the default budget and
+//!   at a drawn budget of a few answers, so FIFO eviction interleaves with
+//!   the stamp clears.
 //! * **No pre-refresh answers after the flip** — a directed test warms the
 //!   cache, checks that the hit read no page and touched no tuple,
 //!   refreshes with a delta that changes the answer, and asserts the next
@@ -77,13 +79,10 @@ fn query_classes(p: AttrId, s: AttrId, c: AttrId) -> Vec<SliceQuery> {
     ]
 }
 
-/// A cache-enabled admission handle over `engine` (admission threshold 1,
-/// so every miss populates — maximal cache involvement).
-fn cached_admission(engine: Arc<dyn ServingEngine>) -> Admission {
-    let cache = AnswerCache::from_config(
-        &CacheConfig { admission_threshold: 1, ..CacheConfig::default() },
-        engine.recorder(),
-    );
+/// An admission handle over `engine` with an answer cache of `max_bytes`
+/// (`0`: no cache). Every miss populates.
+fn cached_admission(engine: Arc<dyn ServingEngine>, max_bytes: u64) -> Admission {
+    let cache = AnswerCache::from_config(&CacheConfig { max_bytes }, engine.recorder());
     Admission::start(engine, AdmissionConfig::default(), cache)
 }
 
@@ -106,23 +105,19 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Replays `ops` through an admission handle over `engine`, optionally with
-/// a cache. Writes go straight to the engine, serialized between
-/// queries, exactly as the server's routes would apply them. Returns the
-/// normalized rows of every query op (`None` for error answers).
+/// Replays `ops` through an admission handle over `engine` with a cache of
+/// `cache_bytes` (`0`: none). Writes go straight to the engine, serialized
+/// between queries, exactly as the server's routes would apply them.
+/// Returns the normalized rows of every query op (`None` for error answers).
 fn run_ops(
     engine: Arc<dyn ServingEngine>,
-    cache_on: bool,
+    cache_bytes: u64,
     ops: &[Op],
     queries: &[SliceQuery],
     attrs: (AttrId, AttrId, AttrId),
 ) -> Vec<Option<Vec<QueryRow>>> {
     let (p, s, c) = attrs;
-    let admission = if cache_on {
-        cached_admission(Arc::clone(&engine))
-    } else {
-        Admission::start(Arc::clone(&engine), AdmissionConfig::default(), None)
-    };
+    let admission = cached_admission(Arc::clone(&engine), cache_bytes);
     let mut answers = Vec::new();
     for op in ops {
         match op {
@@ -155,16 +150,21 @@ fn build_engine() -> Arc<CubetreeEngine> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     #[test]
     fn cached_answers_are_bit_identical_unsharded(
-        ops in proptest::collection::vec(op_strategy(), 1..30)
+        ops in proptest::collection::vec(op_strategy(), 1..30),
+        // Room for none to a few answers, so the budget evicts.
+        small_bytes in 256u64..2048,
     ) {
         let (_, p, s, c) = catalog();
         let queries = query_classes(p, s, c);
-        let cached = run_ops(build_engine(), true, &ops, &queries, (p, s, c));
-        let plain = run_ops(build_engine(), false, &ops, &queries, (p, s, c));
+        let plain = run_ops(build_engine(), 0, &ops, &queries, (p, s, c));
+        let small = run_ops(build_engine(), small_bytes, &ops, &queries, (p, s, c));
+        prop_assert_eq!(&small, &plain, "cache of {} bytes", small_bytes);
+        let default_bytes = CacheConfig::default().max_bytes;
+        let cached = run_ops(build_engine(), default_bytes, &ops, &queries, (p, s, c));
         prop_assert_eq!(cached, plain);
     }
 }
@@ -178,14 +178,14 @@ fn refresh_flip_invalidates_cached_answers() {
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 1)]);
-    let admission = cached_admission(engine.clone());
+    let admission = cached_admission(engine.clone(), CacheConfig::default().max_bytes);
     let ask = |label: &str| {
         let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
         let answer = reply.unwrap_or_else(|e| panic!("{label}: {e}"));
         (answer.generation, normalize_rows(answer.rows.to_vec()))
     };
     let (gen0, before) = ask("warm");
-    // Second ask is a hit (the first populated at threshold 1), and a hit
+    // Second ask is a hit (the first populated), and a hit
     // replays memoized rows: it reads no page and touches no tuple.
     let io_before = engine.env().snapshot();
     assert_eq!(ask("hit").1, before);
@@ -234,7 +234,7 @@ fn concurrent_submits_during_refresh_match_fresh_queries() {
     let recorder = ServingEngine::recorder(&*engine).clone();
     let (_, p, s, c) = catalog();
     let queries = query_classes(p, s, c);
-    let admission = cached_admission(engine.clone());
+    let admission = cached_admission(engine.clone(), CacheConfig::default().max_bytes);
     let fresh = || -> Vec<Vec<QueryRow>> {
         queries.iter().map(|q| normalize_rows(engine.query(q).expect("fresh query"))).collect()
     };
@@ -286,7 +286,7 @@ fn ingest_invalidates_cached_answers() {
     let engine = build_engine();
     let (_, p, s, c) = catalog();
     let q = SliceQuery::new(vec![s], vec![(p, 2)]);
-    let admission = cached_admission(engine.clone());
+    let admission = cached_admission(engine.clone(), CacheConfig::default().max_bytes);
     let ask = || {
         let Ok(reply) = admission.submit(q.clone()).expect("submit").recv();
         normalize_rows(reply.expect("answer").rows.to_vec())

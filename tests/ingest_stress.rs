@@ -72,17 +72,9 @@ fn concurrent_ingest_query_compaction_zero_5xx_and_exact_drain() {
     let engine = build_engine();
     let base_total: i64 = 300;
     let config = ServerConfig {
-        ingest: IngestConfig {
-            delta: cubetrees_repro::core::delta::DeltaConfig {
-                // Low thresholds so compactions really interleave with the
-                // ingest/query traffic.
-                max_rows: 40,
-                max_bytes: 1 << 14,
-                max_age: Duration::from_millis(50),
-            },
-            check_interval: Duration::from_millis(5),
-            ..IngestConfig::default()
-        },
+        // Low thresholds so compactions really interleave with the
+        // ingest/query traffic.
+        ingest: IngestConfig { max_rows: 40, max_age: Duration::from_millis(50) },
         ..ServerConfig::default()
     };
     let server = CtServer::start(engine.clone(), config).unwrap();
