@@ -20,10 +20,10 @@ cargo test -q --offline --test mvcc_concurrency
 # overload with Retry-After.
 cargo test -q --offline --test serving_http
 cargo clippy --offline --workspace --all-targets -- -D warnings
-# Error-path gate: ct-storage, ct-rtree, ct-workload and ct-server deny
-# clippy::{unwrap,expect}_used at the crate level (test code exempt); check
-# their lib targets explicitly.
-cargo clippy --offline -p ct-storage -p ct-rtree -p ct-workload -p ct-server --lib -- -D warnings
+# Error-path gate: ct-storage, ct-rtree, ct-workload, ct-server and ct-core
+# (package cubetree) deny clippy::{unwrap,expect}_used at the crate level
+# (test code exempt); check their lib targets explicitly.
+cargo clippy --offline -p ct-storage -p ct-rtree -p ct-workload -p ct-server -p cubetree --lib -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 cargo run -q --release --offline --example quickstart > /dev/null
 # Query smoke: a metrics-enabled Figure 12 run at a worker budget of 2

@@ -49,8 +49,6 @@
 //! A failed compaction loses nothing: the sealed runs stay resident (and
 //! visible to queries) until a later merge-pack commits.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use ct_common::{AggState, AttrId, CtError, Result};
 use ct_cube::Relation;
 use parking_lot::Mutex;

@@ -21,12 +21,14 @@
 
 use crate::engine::RolapEngine;
 use crate::query::RollupAggregator;
+use crate::views::compute_views;
 use ct_common::query::QueryRow;
 use ct_common::{
     AggState, AttrId, Catalog, CostModel, CtError, Result, SliceQuery, ViewDef, ViewId,
 };
 use ct_btree::BTree;
-use ct_cube::{compute_view, plan_computation, PlanSource, Relation, SizeEstimator};
+use ct_cube::compute::projection_sort_cols;
+use ct_cube::Relation;
 use ct_heap::{HeapTable, Rid};
 use ct_storage::env::DEFAULT_POOL_PAGES;
 use ct_storage::StorageEnv;
@@ -472,38 +474,19 @@ impl RolapEngine for ConventionalEngine {
         let phase = self.env.phase("load");
         let t0 = std::time::Instant::now();
         let io0 = self.env.snapshot();
-        let estimator = SizeEstimator::new(&self.catalog, fact.len() as u64);
         let defs = self.config.views.clone();
-        let sizes: Vec<u64> = defs.iter().map(|v| estimator.estimate(&v.projection)).collect();
-        let plan =
-            plan_computation(&self.catalog, &fact.attrs, fact.len() as u64, &defs, &sizes)?;
-        let mut relations: Vec<Option<Relation>> = (0..defs.len()).map(|_| None).collect();
-        {
+        let relations = {
             let _compute = phase.child("compute_views");
-            for step in &plan.steps {
-                let def = &defs[step.target];
-                let sort: Vec<usize> = (0..def.arity()).collect(); // projection order
-                let rel = match step.source {
-                    PlanSource::Fact => {
-                        compute_view(&self.env, &self.catalog, fact, &def.projection, &sort)?
-                    }
-                    PlanSource::View(j) => {
-                        let src = relations[j].as_ref().ok_or_else(|| planned("parent view"))?;
-                        compute_view(&self.env, &self.catalog, src, &def.projection, &sort)?
-                    }
-                };
-                relations[step.target] = Some(rel);
-            }
-        }
+            compute_views(&self.env, &self.catalog, fact, &defs, projection_sort_cols)?
+        };
         // View computation belongs to the "Views" column of Table 6.
         self.breakdown.views_wall += t0.elapsed().as_secs_f64();
         self.breakdown.views_sim +=
             self.env.snapshot().since(&io0).simulated_seconds(self.env.cost_model());
         {
             let _materialize = phase.child("materialize");
-            for (i, def) in defs.iter().enumerate() {
-                let rel = relations[i].take().ok_or_else(|| planned("view"))?;
-                self.materialize(def, &rel)?;
+            for (def, rel) in defs.iter().zip(&relations) {
+                self.materialize(def, rel)?;
             }
         }
         self.env.pool().flush_all()?;
@@ -532,10 +515,9 @@ impl RolapEngine for ConventionalEngine {
             }
         }
         let _phase = self.env.phase("update");
-        let catalog = self.catalog.clone();
-        for mv in &mut self.views {
-            let sort: Vec<usize> = (0..mv.def.arity()).collect();
-            let rel = compute_view(&self.env, &catalog, delta, &mv.def.projection, &sort)?;
+        let defs: Vec<ViewDef> = self.views.iter().map(|mv| mv.def.clone()).collect();
+        let deltas = compute_views(&self.env, &self.catalog, delta, &defs, projection_sort_cols)?;
+        for (mv, rel) in self.views.iter_mut().zip(&deltas) {
             let arity = mv.def.arity();
             let agg_w = mv.def.agg.width();
             let mut row = vec![0u64; arity + agg_w];

@@ -1,7 +1,5 @@
 //! The Cubetree storage engine (the paper's proposal).
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::delta::{DeltaConfig, DeltaStats};
 use crate::engine::{serve_sources, RolapEngine, ServedAnswer, ServingEngine, ViewInfo};
 use crate::forest::{AnswerStamp, CubetreeForest};

@@ -10,8 +10,6 @@
 //! * [`CubetreeEngine`] — the paper's proposal: the views in a SelectMapping
 //!   forest of packed compressed R-trees with merge-pack refresh.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 mod conventional;
 mod cubetree_engine;
 

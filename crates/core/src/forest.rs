@@ -1,12 +1,14 @@
 //! Building and refreshing a Cubetree forest.
 //!
 //! The load pipeline is the paper's Figure 11: the fact data is pushed
-//! through the view-selection output, each view is computed from its
-//! smallest parent (\[AAD+96\], Figure 10), *the same sort* orders each view
-//! for packing, and the SelectMapping forest is bulk-loaded tree by tree.
-//! The refresh pipeline is Figure 15: compute the delta of every view from
-//! the increment, sort it, and merge-pack each tree into a fresh packed
-//! file.
+//! through the view-selection output, every placement is computed in its
+//! packing order by one plan ([`crate::views`]: a linear pass over a
+//! relation whose sort order holds it, else a sort from its smallest parent
+//! — \[AAD+96\], Figure 10), so *the same sort* that computes a view orders
+//! it for packing, and the SelectMapping forest is bulk-loaded tree by tree.
+//! The refresh pipeline is Figure 15: compute the delta of every placement
+//! from the increment by the same plan, and merge-pack each tree into a
+//! fresh packed file.
 //!
 //! The paper's replica feature (§3: the top view stored in multiple sort
 //! orders "to further enhance the performance") is modeled as extra
@@ -15,16 +17,16 @@
 //!
 //! ## Parallel sort→pack pipeline
 //!
-//! Each Cubetree of the SelectMapping forest is an independent sort+pack (on
-//! build) or delta-compute+merge-pack (on refresh) job. When the
-//! environment's [`ct_storage::Parallelism`] budget allows, jobs are
-//! dispatched over a bounded pool of scoped worker threads. Every job runs
-//! against a *private* buffer pool holding a fixed share of the
-//! environment's frames, so each file's page traffic is a pure function of
-//! its job — the packed bytes *and* the simulated-I/O totals are identical
-//! for every worker count (`threads = 1` reproduces the sequential pipeline
-//! bit for bit). The view-computation DAG stays sequential: its steps feed
-//! one another, and its inner sorts already parallelize run generation.
+//! View computation runs once for the whole forest, each independent sort
+//! as one job ([`crate::views`]). Then each Cubetree of the SelectMapping
+//! forest is an independent pack (on build) or merge-pack (on refresh) job
+//! over the shared relations. When the environment's
+//! [`ct_storage::Parallelism`] budget allows, jobs are dispatched over a
+//! bounded pool of scoped worker threads. Every tree job runs against a
+//! *private* buffer pool holding a fixed share of the environment's frames,
+//! so each file's page traffic is a pure function of its job — the packed
+//! bytes *and* the simulated-I/O totals are identical for every worker count
+//! (`threads = 1` reproduces the sequential pipeline bit for bit).
 //!
 //! ## Generations: concurrent reads during refresh
 //!
@@ -43,9 +45,10 @@
 use crate::delta::{DeltaSnapshot, DeltaTier};
 use crate::jobs::{run_jobs, Job};
 use crate::select_mapping::{select_mapping, MappingPlan};
+use crate::views::compute_views;
 use ct_common::{AttrId, Catalog, CtError, Point, Result, ViewDef, ViewId};
 use ct_cube::compute::packed_sort_cols;
-use ct_cube::{compute_view, plan_computation, PlanSource, Relation, SizeEstimator};
+use ct_cube::Relation;
 use ct_rtree::{merge_pack, LeafFormat, PackedRTree, TreeBuilder, VecStream, ViewInfo};
 use ct_storage::{BufferPool, FileId, StorageEnv};
 use parking_lot::Mutex;
@@ -84,6 +87,17 @@ fn expand_views(
         logical.push(*base);
     }
     Ok((all_defs, logical))
+}
+
+/// The index into `defs` of each view id in `ids`, in `ids` order.
+fn def_indexes(defs: &[ViewDef], ids: &[ViewId]) -> Result<Vec<usize>> {
+    ids.iter()
+        .map(|id| {
+            defs.iter()
+                .position(|d| d.id == *id)
+                .ok_or_else(|| CtError::invalid("mapping plan names an unknown view"))
+        })
+        .collect()
 }
 
 /// The manifest component name of tree `t` (`cubetree-0`, `cubetree-1`, …).
@@ -333,6 +347,9 @@ impl Drop for ReaderPin {
 pub struct CubetreeForest {
     format: LeafFormat,
     plan: MappingPlan,
+    /// Every physical view definition, primaries then replicas: the targets
+    /// each load and refresh computes, in one fixed order.
+    defs: Vec<ViewDef>,
     placements: Arc<Vec<PlacedView>>,
     /// The swap cell: the current generation, replaced atomically (under
     /// the lock) at each update's publish point.
@@ -368,42 +385,11 @@ impl CubetreeForest {
         // Allocate the forest.
         let plan = select_mapping(&all_defs);
 
-        // Compute the primary view relations from smallest parents.
+        // Compute every placement's relation, replicas included, in its
+        // packing order: three sorts under the paper's set-up, the rest
+        // linear passes.
         let compute_phase = env.phase("load/compute_views");
-        let estimator = SizeEstimator::new(catalog, fact.len() as u64);
-        let sizes: Vec<u64> =
-            views.iter().map(|v| estimator.estimate(&v.projection)).collect();
-        let cplan =
-            plan_computation(catalog, &fact.attrs, fact.len() as u64, views, &sizes)?;
-        let mut relations: Vec<Option<Relation>> = (0..all_defs.len()).map(|_| None).collect();
-        for step in &cplan.steps {
-            let target = &views[step.target];
-            let sort = packed_sort_cols(target.arity());
-            let rel = match step.source {
-                PlanSource::Fact => {
-                    compute_view(env, catalog, fact, &target.projection, &sort)?
-                }
-                PlanSource::View(j) => {
-                    let src = relations[j].as_ref().expect("plan order violated");
-                    compute_view(env, catalog, src, &target.projection, &sort)?
-                }
-            };
-            relations[step.target] = Some(rel);
-        }
-        // Replica relations: re-sort of their base relation.
-        for i in views.len()..all_defs.len() {
-            let base_idx = views.iter().position(|v| v.id == logical[i]).unwrap();
-            let base_rel = relations[base_idx].as_ref().expect("base computed");
-            let def = &all_defs[i];
-            let rel = compute_view(
-                env,
-                catalog,
-                base_rel,
-                &def.projection,
-                &packed_sort_cols(def.arity()),
-            )?;
-            relations[i] = Some(rel);
-        }
+        let relations = compute_views(env, catalog, fact, &all_defs, packed_sort_cols)?;
         drop(compute_phase);
 
         // Pack each tree: one independent job per Cubetree, dispatched over
@@ -420,18 +406,13 @@ impl CubetreeForest {
         for (t, spec) in plan.trees.iter().enumerate() {
             let fid = env.create_file(&format!("cubetree-{t}"))?;
             fids.push(fid);
-            let infos: Vec<ViewInfo> = spec
-                .views
+            let idxs = def_indexes(&all_defs, &spec.views)?;
+            let infos: Vec<ViewInfo> = idxs
                 .iter()
-                .map(|id| {
-                    let def = all_defs.iter().find(|d| d.id == *id).unwrap();
-                    ViewInfo { view: id.0, arity: def.arity() as u8, agg: def.agg }
+                .map(|&idx| {
+                    let def = &all_defs[idx];
+                    ViewInfo { view: def.id.0, arity: def.arity() as u8, agg: def.agg }
                 })
-                .collect();
-            let idxs: Vec<usize> = spec
-                .views
-                .iter()
-                .map(|id| all_defs.iter().position(|d| d.id == *id).unwrap())
                 .collect();
             for &idx in &idxs {
                 placements.push(PlacedView {
@@ -452,8 +433,8 @@ impl CubetreeForest {
                 let _span = recorder.span(&format!("load/pack/tree{t}"));
                 let mut builder =
                     TreeBuilder::new(job_pool.clone(), job_fid, spec.dims, infos, format)?;
-                for (slot, id) in spec.views.iter().enumerate() {
-                    let rel = relations[idxs[slot]].as_ref().expect("all views computed");
+                for (id, &idx) in spec.views.iter().zip(&idxs) {
+                    let rel = &relations[idx];
                     for r in 0..rel.len() {
                         builder.push(id.0, Point::new(rel.key(r), spec.dims), &rel.states[r])?;
                     }
@@ -500,6 +481,7 @@ impl CubetreeForest {
         Ok(CubetreeForest {
             format,
             plan,
+            defs: all_defs,
             placements,
             current: Mutex::new(generation),
             writer: Mutex::new(()),
@@ -530,11 +512,7 @@ impl CubetreeForest {
         for (t, spec) in plan.trees.iter().enumerate() {
             let fid = env.open_file(&tree_component(t))?;
             fids.push(fid);
-            for id in &spec.views {
-                let idx = all_defs
-                    .iter()
-                    .position(|d| d.id == *id)
-                    .ok_or_else(|| CtError::invalid("mapping plan names an unknown view"))?;
+            for idx in def_indexes(&all_defs, &spec.views)? {
                 placements.push(PlacedView {
                     def: all_defs[idx].clone(),
                     logical: logical[idx],
@@ -568,6 +546,7 @@ impl CubetreeForest {
         Ok(CubetreeForest {
             format,
             plan,
+            defs: all_defs,
             placements,
             current: Mutex::new(generation),
             writer: Mutex::new(()),
@@ -718,36 +697,29 @@ impl CubetreeForest {
             }
         }
         let next_number = base.number + 1;
+        // Every placement's delta, by the same plan a load uses.
+        let compute_phase = env.phase("update/compute_views");
+        let relations = compute_views(env, catalog, delta_fact, &self.defs, packed_sort_cols)?;
+        drop(compute_phase);
         let merge_phase = env.phase("update/merge");
         // Flush the shared pool so each job's private pool reads the current
         // on-disk bytes of the tree it is refreshing.
         env.pool().flush_all()?;
-        let specs = self.plan.trees.clone();
-        let tree_count = specs.len();
+        let tree_count = self.plan.trees.len();
         let pool_share = job_pool_pages(env, tree_count);
         let format = self.format;
+        let relations = &relations;
         let mut new_fids = Vec::with_capacity(tree_count);
         let mut jobs: Vec<Job<'_>> = Vec::with_capacity(tree_count);
         let mut job_pools: Vec<(Arc<BufferPool>, FileId)> = Vec::with_capacity(tree_count);
-        for (t, spec) in specs.iter().enumerate() {
+        for (t, spec) in self.plan.trees.iter().enumerate() {
             let new_fid = env.create_file(&format!("cubetree-{t}-gen{next_number}"))?;
             new_fids.push(new_fid);
             let old_fid = base.fids[t];
             let infos: Vec<ViewInfo> =
                 base.trees[t].views().iter().map(|(info, _)| *info).collect();
-            let defs: Vec<ViewDef> = spec
-                .views
-                .iter()
-                .map(|id| {
-                    self.placements
-                        .iter()
-                        .find(|p| p.def.id == *id)
-                        .expect("placement exists")
-                        .def
-                        .clone()
-                })
-                .collect();
-            let spec = spec.clone();
+            let idxs = def_indexes(&self.defs, &spec.views)?;
+            let dims = spec.dims;
             let job_pool = env.new_private_pool(pool_share);
             let job_old_fid = job_pool.register(env.pool().file(old_fid)?);
             let job_new_fid = job_pool.register(env.pool().file(new_fid)?);
@@ -755,19 +727,13 @@ impl CubetreeForest {
             let recorder = env.recorder().clone();
             jobs.push(Box::new(move || {
                 let _span = recorder.span(&format!("update/merge/tree{t}"));
-                // Build the tree's merged delta stream: views in spec order
+                // The tree's merged delta stream: views in spec order
                 // (ascending arity) are globally packed-sorted.
                 let mut items: Vec<(u32, Point, ct_common::AggState)> = Vec::new();
-                for (def, id) in defs.iter().zip(&spec.views) {
-                    let rel = compute_view(
-                        env,
-                        catalog,
-                        delta_fact,
-                        &def.projection,
-                        &packed_sort_cols(def.arity()),
-                    )?;
+                for idx in idxs {
+                    let (id, rel) = (self.defs[idx].id, &relations[idx]);
                     for r in 0..rel.len() {
-                        items.push((id.0, Point::new(rel.key(r), spec.dims), rel.states[r]));
+                        items.push((id.0, Point::new(rel.key(r), dims), rel.states[r]));
                     }
                 }
                 env.stats().add_tuples(items.len() as u64);
@@ -842,6 +808,7 @@ impl CubetreeForest {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::AggFn;

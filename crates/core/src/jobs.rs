@@ -1,13 +1,12 @@
-//! Scoped-worker job dispatch for the build/refresh pipeline
-//! ([`crate::forest`]): one job per Cubetree.
+//! Scoped-worker job dispatch for the build/refresh pipeline: one job per
+//! independent sort or linear pass ([`crate::views`]), then one per Cubetree
+//! ([`crate::forest`]).
 //!
 //! Jobs are independent units dispatched over a bounded pool of scoped
 //! threads; work-stealing is a single atomic cursor over the job indices.
 //! Error reporting is deterministic: the error of the lowest-indexed failing
 //! job wins regardless of completion order, and a panicking job surfaces as
 //! an `Err` instead of taking down (or hanging) the pool.
-
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use ct_common::{CtError, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,7 +36,7 @@ fn run_caught<T>(f: &(impl Fn(usize) -> Result<T> + Sync), i: usize) -> Result<T
 /// order, on the calling thread — no spawn, no lock. Jobs may finish in any
 /// order but must be deterministic in isolation; on failure the error of the
 /// lowest-indexed failing job wins.
-fn map_jobs<T: Send>(
+pub(crate) fn map_jobs<T: Send>(
     threads: usize,
     n: usize,
     f: impl Fn(usize) -> Result<T> + Sync,

@@ -16,7 +16,7 @@
 //!   arbitrary view set to a minimal Cubetree forest (no tree holds two
 //!   views of the same arity);
 //! * [`forest`] — building a [`forest::CubetreeForest`] from a fact relation
-//!   (compute views from smallest parents → sort → pack), including the
+//!   (compute views by a sort-counting plan → pack), including the
 //!   multi-sort-order *replica* feature of §3;
 //! * [`query`] — slice-query planning and execution over the forest;
 //! * [`engine`] — two complete [`engine::RolapEngine`]s over the same
@@ -50,12 +50,15 @@
 //! assert_eq!(rows.len(), 2); // part 1 sold by suppliers 1 and 2
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod delta;
 pub mod engine;
 pub mod forest;
 mod jobs;
 pub mod query;
 pub mod select_mapping;
+pub mod views;
 
 pub use delta::{DeltaConfig, DeltaSnapshot, DeltaStats, DeltaTier};
 pub use engine::{

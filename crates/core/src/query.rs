@@ -9,8 +9,6 @@
 //! whose physical sort order has the longest prefix of sliced attributes —
 //! that is exactly what the paper's multi-sort-order replicas are for.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::delta::DeltaSnapshot;
 use crate::forest::{Generation, PlacedView};
 use ct_common::query::QueryRow;

@@ -83,6 +83,7 @@ pub fn select_mapping(views: &[ViewDef]) -> MappingPlan {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use ct_common::{AggFn, AttrId};

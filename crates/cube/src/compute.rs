@@ -1,7 +1,7 @@
 //! Sort-based view computation (\[AAD+96\]; paper §3.2).
 //!
-//! A target view is computed from a *source* relation (the fact table or any
-//! parent view) in three steps:
+//! [`compute_view`] computes a target view from a *source* relation (the
+//! fact table or any parent view) in three steps:
 //!
 //! 1. **translate** — each target attribute is either projected from the
 //!    source or rolled up through a dimension hierarchy (e.g.
@@ -14,10 +14,17 @@
 //! The *same* sort produces the view and the load order of the physical
 //! structure, which is the paper's argument that the Cubetree preprocessing
 //! sort "can be hardly considered as an overhead".
+//!
+//! [`compute_view_linear`] skips the sort when the source is already sorted
+//! on the target's order (the target's sort attributes are a prefix of the
+//! source's, see [`crate::plan`]): one pass projects each row and merges
+//! adjacent equal keys.
 
 use crate::relation::Relation;
-use ct_common::{AttrId, Catalog, CtError, Result};
+use ct_common::{AggState, AttrId, Catalog, CtError, Result};
+use ct_storage::sort::cmp_records;
 use ct_storage::{ExternalSorter, StorageEnv};
+use std::cmp::Ordering;
 
 /// Computes the view grouping by `target_attrs` from `source`, returning it
 /// sorted by `sort_cols` (a permutation of the target column indices).
@@ -47,7 +54,7 @@ pub fn compute_view(
         })?;
         let col = source
             .col_of(src_attr)
-            .expect("derivation source attribute must be in the schema");
+            .ok_or_else(|| CtError::invalid("derivation source attribute is not in the schema"))?;
         resolvers.push((col, path));
     }
 
@@ -70,29 +77,108 @@ pub fn compute_view(
     env.stats().add_tuples(source.len() as u64);
 
     // Stream out, merging adjacent equal keys.
-    let mut out = Relation::empty(target_attrs.to_vec());
+    let mut groups = Grouper::new(target_attrs);
     let mut stream = sorter.finish()?;
-    // The open group: its key (a buffer reused across groups) and state.
-    let mut key = Vec::with_capacity(arity);
-    let mut current: Option<ct_common::AggState> = None;
     while let Some(r) = stream.next_record()? {
-        let state = Relation::words_to_state(&r[arity..]);
-        match &mut current {
-            Some(s) if key[..] == r[..arity] => s.merge(&state),
+        groups.push(&r[..arity], Relation::words_to_state(&r[arity..]));
+    }
+    let out = groups.finish();
+    env.stats().add_tuples(out.len() as u64);
+    Ok(out)
+}
+
+/// Computes the view grouping by `target_attrs` from a `source` that is
+/// already sorted on the target's order, in one linear pass: each source row
+/// is projected onto the target columns and adjacent equal keys merge. The
+/// result is sorted by `sort_cols`, exactly like [`compute_view`]'s.
+///
+/// The caller guarantees the order (see [`crate::plan`]): every target
+/// attribute is a source column, and the target's sort attributes are a
+/// prefix of the source's sort attributes.
+///
+/// # Errors
+/// * [`CtError::Unsupported`] if a target attribute is not a source column
+///   (a hierarchy rollup needs [`compute_view`]).
+/// * [`CtError::InvalidArgument`] if `sort_cols` is not a permutation of
+///   `0..target_attrs.len()`, or if the source turns out not to be sorted on
+///   the target's order.
+pub fn compute_view_linear(
+    env: &StorageEnv,
+    source: &Relation,
+    target_attrs: &[AttrId],
+    sort_cols: &[usize],
+) -> Result<Relation> {
+    validate_permutation(sort_cols, target_attrs.len())?;
+    let cols = target_attrs
+        .iter()
+        .map(|&t| {
+            source.col_of(t).ok_or_else(|| {
+                CtError::unsupported("a linear pass needs every target attribute as a column")
+            })
+        })
+        .collect::<Result<Vec<usize>>>()?;
+    let mut groups = Grouper::new(target_attrs);
+    let mut key = vec![0u64; cols.len()];
+    for i in 0..source.len() {
+        let row = source.key(i);
+        for (k, &c) in key.iter_mut().zip(&cols) {
+            *k = row[c];
+        }
+        if let Some(last) = groups.open_key() {
+            if cmp_records(last, &key, sort_cols) == Ordering::Greater {
+                return Err(CtError::invalid("linear pass over a source not sorted on the target"));
+            }
+        }
+        groups.push(&key, source.states[i]);
+    }
+    let out = groups.finish();
+    env.stats().add_tuples((source.len() + out.len()) as u64);
+    Ok(out)
+}
+
+/// Collects key-ordered rows into a relation, merging the states of
+/// adjacent equal keys.
+struct Grouper {
+    out: Relation,
+    /// The open group's key (a buffer reused across groups).
+    key: Vec<u64>,
+    /// The open group's state; `None` before the first row.
+    state: Option<AggState>,
+}
+
+impl Grouper {
+    fn new(attrs: &[AttrId]) -> Self {
+        Grouper {
+            out: Relation::empty(attrs.to_vec()),
+            key: Vec::with_capacity(attrs.len()),
+            state: None,
+        }
+    }
+
+    /// The open group's key, if any row has been pushed.
+    fn open_key(&self) -> Option<&[u64]> {
+        self.state.as_ref().map(|_| &self.key[..])
+    }
+
+    fn push(&mut self, key: &[u64], state: AggState) {
+        match &mut self.state {
+            Some(s) if self.key[..] == *key => s.merge(&state),
             _ => {
-                if let Some(s) = current.replace(state) {
-                    out.push(&key, s);
+                if let Some(s) = self.state.replace(state) {
+                    self.out.push(&self.key, s);
                 }
-                key.clear();
-                key.extend_from_slice(&r[..arity]);
+                self.key.clear();
+                self.key.extend_from_slice(key);
             }
         }
     }
-    if let Some(s) = current {
-        out.push(&key, s);
+
+    fn finish(mut self) -> Relation {
+        if let Some(s) = self.state {
+            self.out.push(&self.key, s);
+        }
+        self.out
     }
-    env.stats().add_tuples(out.len() as u64);
-    Ok(out)
 }
 
 fn validate_permutation(sort_cols: &[usize], arity: usize) -> Result<()> {
@@ -113,6 +199,12 @@ fn validate_permutation(sort_cols: &[usize], arity: usize) -> Result<()> {
 /// (`x_k, …, x_1` — paper §2.3).
 pub fn packed_sort_cols(arity: usize) -> Vec<usize> {
     (0..arity).rev().collect()
+}
+
+/// The projection sort order for a view of arity `k`: `x_1, …, x_k` (the
+/// conventional engine's primary-key order).
+pub fn projection_sort_cols(arity: usize) -> Vec<usize> {
+    (0..arity).collect()
 }
 
 #[cfg(test)]
@@ -218,6 +310,40 @@ mod tests {
         assert!(compute_view(&env, &c, &fact, &[p, s], &[0]).is_err());
         assert!(compute_view(&env, &c, &fact, &[p, s], &[0, 0]).is_err());
         assert!(compute_view(&env, &c, &fact, &[p, s], &[0, 2]).is_err());
+    }
+
+    /// Row-for-row equality of keys and states.
+    fn assert_same(a: &Relation, b: &Relation) {
+        assert_eq!(a.attrs, b.attrs);
+        assert_eq!(a.keys, b.keys);
+        assert_eq!(a.states, b.states);
+    }
+
+    #[test]
+    fn linear_pass_over_a_sorted_parent_equals_a_sort() {
+        let (env, c, fact, [p, s, cu, _]) = setup();
+        // (c,s,p)-sorted top view holds V{c} and V{} in order.
+        let top = compute_view(&env, &c, &fact, &[p, s, cu], &[2, 1, 0]).unwrap();
+        for target in [&[cu][..], &[]] {
+            let sort = packed_sort_cols(target.len());
+            let linear = compute_view_linear(&env, &top, target, &sort).unwrap();
+            assert_same(&linear, &compute_view(&env, &c, &fact, target, &sort).unwrap());
+        }
+        // Two columns, projected out of order: (s,p) is a prefix of (s,p,c).
+        let spc = compute_view(&env, &c, &fact, &[cu, p, s], &[2, 1, 0]).unwrap();
+        let ps = compute_view_linear(&env, &spc, &[p, s], &[1, 0]).unwrap();
+        assert_same(&ps, &compute_view(&env, &c, &fact, &[p, s], &[1, 0]).unwrap());
+    }
+
+    #[test]
+    fn linear_pass_rejects_unsorted_source_and_rollups() {
+        let (env, c, fact, [p, s, cu, brand]) = setup();
+        let top = compute_view(&env, &c, &fact, &[p, s, cu], &[2, 1, 0]).unwrap();
+        // V{p} is not a prefix of (c,s,p): the pass notices the disorder.
+        assert!(compute_view_linear(&env, &top, &[p], &[0]).is_err());
+        // A hierarchy attribute is not a column of the source.
+        assert!(compute_view_linear(&env, &top, &[brand], &[0]).is_err());
+        assert!(compute_view_linear(&env, &top, &[cu], &[0, 0]).is_err());
     }
 
     #[test]

@@ -90,13 +90,12 @@ impl EnvDir {
 
 /// Worker-thread budget for the parallel sort→pack pipeline.
 ///
-/// `threads = 1` is the fully sequential legacy pipeline. Larger values let
-/// the external sorter overlap run generation with input consumption, the
-/// k-way merge prefetch run pages, and the forest build/refresh dispatch one
-/// job per Cubetree.
-/// The simulated-I/O totals are identical for every value, for builds,
-/// refreshes and queries alike: each worker touches its own files in the
-/// same per-file page order the sequential pipeline would, the counters
+/// `threads = 1` is the fully sequential pipeline. Larger values let the
+/// view computation run independent sorts side by side and the forest
+/// build/refresh dispatch one job per Cubetree; a single sort never starts a
+/// thread. The simulated-I/O totals are identical for every value, for
+/// builds, refreshes and queries alike: each worker touches its own files in
+/// the same per-file page order the sequential pipeline would, the counters
 /// aggregate atomically, and a query is one in-order scan on the caller's
 /// thread through one shared clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -11,23 +11,20 @@
 //! A record is `width` consecutive `u64` words; records are ordered by
 //! comparing the columns listed in `key_cols`, in order.
 //!
-//! When the environment's [`crate::env::Parallelism`] budget allows more than
-//! one worker, run generation is dispatched to background threads (each
-//! sorting and spilling one budget-slice while the producer keeps pushing)
-//! and the k-way merge reads every run through a prefetching reader that
-//! overlaps run I/O with merge CPU. Run files are created on the producer
-//! thread in push order and each run is written/read strictly sequentially by
-//! exactly one thread, so the sorted output *and* the per-file
-//! sequential/random I/O accounting are identical for every worker count.
+//! A sorter is single-threaded and starts no thread: it sorts and spills
+//! each budget-slice on the caller's thread and merges the runs there too.
+//! Parallelism lives one level up, where independent sorts run side by side
+//! (see `cubetree::views`). Each run file belongs to one sorter and is
+//! written, then read, strictly sequentially, so a sort's output and its
+//! per-file sequential/random I/O accounting do not depend on what other
+//! sorts run beside it.
 
 use crate::env::StorageEnv;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::pager::DiskFile;
 use ct_common::{CtError, Result};
 use std::cmp::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Compares two records column-by-column in `key_cols` order.
 #[inline]
@@ -54,10 +51,6 @@ pub struct ExternalSorter<'a> {
     buf: Vec<u64>,
     runs: Vec<Run>,
     pushed: u64,
-    /// Worker budget for spill threads and merge prefetch (1 = sequential).
-    threads: usize,
-    /// In-flight spill workers, oldest first.
-    workers: Vec<JoinHandle<Result<()>>>,
     /// Metrics (inert when the env's recorder is disabled): run count,
     /// spilled records, records-per-run distribution.
     runs_counter: ct_obs::Counter,
@@ -70,8 +63,7 @@ struct Run {
     records: u64,
 }
 
-/// Sorts one budget-slice of records, returning the reordered copy. Shared
-/// by the inline and threaded spill paths so both produce identical runs.
+/// Sorts one budget-slice of records, returning the reordered copy.
 fn sort_chunk(buf: &[u64], width: usize, key_cols: &[usize]) -> Vec<u64> {
     let n = buf.len() / width;
     let mut idx: Vec<u32> = (0..n as u32).collect();
@@ -97,10 +89,6 @@ fn write_run(sorted: &[u64], width: usize, file: Arc<DiskFile>) -> Result<()> {
         writer.push(rec)?;
     }
     writer.finish()
-}
-
-fn join_spill(handle: JoinHandle<Result<()>>) -> Result<()> {
-    handle.join().map_err(|_| CtError::invalid("sort spill worker panicked"))?
 }
 
 impl<'a> ExternalSorter<'a> {
@@ -134,8 +122,6 @@ impl<'a> ExternalSorter<'a> {
             buf: Vec::with_capacity(budget_records.min(1 << 16) * width),
             runs: Vec::new(),
             pushed: 0,
-            threads: env.parallelism().threads,
-            workers: Vec::new(),
             runs_counter: recorder.counter("storage.sort.runs"),
             spilled_counter: recorder.counter("storage.sort.spilled_records"),
             run_hist: recorder.histogram("storage.sort.run_records"),
@@ -166,11 +152,8 @@ impl<'a> ExternalSorter<'a> {
         Ok(())
     }
 
-    /// Sorts the in-memory chunk and writes it out as a run file.
-    ///
-    /// The run file is created here, on the producer thread, so run order
-    /// (and the merge's run-index tie-break) is the push order regardless of
-    /// how many spill workers are running.
+    /// Sorts the in-memory chunk and writes it out as a run file. Runs are
+    /// numbered in push order, which is the merge's tie-break.
     fn spill(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -182,30 +165,12 @@ impl<'a> ExternalSorter<'a> {
         self.run_hist.record(records);
         let file = self.env.create_raw_file("sort-run")?;
         self.runs.push(Run { file: file.clone(), records });
-        // Wall-only span; a run spill may complete on a worker thread, where
-        // global-counter deltas could not be attributed safely anyway.
-        let span = self.env.recorder().span("sort/spill_run");
-        if self.threads > 1 {
-            // Bound in-flight workers by retiring the oldest first.
-            if self.workers.len() + 1 >= self.threads {
-                join_spill(self.workers.remove(0))?;
-            }
-            let cap = self.buf.capacity();
-            let chunk = std::mem::replace(&mut self.buf, Vec::with_capacity(cap));
-            let width = self.width;
-            let key_cols = self.key_cols.clone();
-            self.workers.push(std::thread::spawn(move || {
-                let res = write_run(&sort_chunk(&chunk, width, &key_cols), width, file);
-                drop(span);
-                res
-            }));
-        } else {
-            let sorted = sort_chunk(&self.buf, self.width, &self.key_cols);
-            self.buf.clear();
-            write_run(&sorted, self.width, file)?;
-            drop(span);
-        }
-        Ok(())
+        // Wall-only span: sorts may run beside each other, so global-counter
+        // deltas could not be attributed to this one.
+        let _span = self.env.recorder().span("sort/spill_run");
+        let sorted = sort_chunk(&self.buf, self.width, &self.key_cols);
+        self.buf.clear();
+        write_run(&sorted, self.width, file)
     }
 
     /// Sorts and drains the buffered chunk, charging CPU tuple costs.
@@ -224,19 +189,9 @@ impl<'a> ExternalSorter<'a> {
             return Ok(SortedStream::InMemory { data: chunk, width: self.width, pos: 0 });
         }
         self.spill()?;
-        // All runs must be on disk before the merge starts reading them.
-        for handle in self.workers.drain(..) {
-            join_spill(handle)?;
-        }
-        let prefetch = self.threads > 1;
         let mut readers = Vec::with_capacity(self.runs.len());
         for run in &self.runs {
-            let file = run.file.clone();
-            readers.push(if prefetch {
-                RunReader::prefetching(file, self.width, run.records)?
-            } else {
-                RunReader::new(file, self.width, run.records)?
-            });
+            readers.push(RunReader::new(run.file.clone(), self.width, run.records)?);
         }
         let mut heads = Vec::with_capacity(readers.len());
         for (i, r) in readers.iter_mut().enumerate() {
@@ -307,7 +262,7 @@ impl SortedStream {
 /// K-way merge state: one reader per run, each holding its current head
 /// record, and a binary min-heap of the indices of runs that still have a
 /// head. Heads order by [`cmp_records`] on the sort key, ties by run index,
-/// so the output is deterministic (and identical for every worker count).
+/// so the output is deterministic.
 pub struct Merge {
     readers: Vec<RunReader>,
     /// Heap of run indices; `heads[0]` is the run holding the smallest head.
@@ -407,23 +362,11 @@ impl RunWriter {
     }
 }
 
-/// How many pages a prefetching [`RunReader`] may read ahead of the
-/// consumer.
-const PREFETCH_DEPTH: usize = 4;
-
-/// Where a [`RunReader`] gets its pages: read in the consumer's thread when
-/// needed, or read ahead by a background thread. Both pull the run's pages
-/// in identical sequential order, so the I/O accounting does not depend on
-/// the variant.
-enum PageSource {
-    Direct { file: Arc<DiskFile>, next_pid: u64 },
-    Prefetch(Receiver<Result<Page>>),
-}
-
 /// Sequential reader over a run file written by [`RunWriter`]. The current
 /// record is decoded into a buffer the reader reuses.
 pub struct RunReader {
-    source: PageSource,
+    file: Arc<DiskFile>,
+    next_pid: u64,
     page: Page,
     width: usize,
     per_page: usize,
@@ -436,36 +379,9 @@ pub struct RunReader {
 impl RunReader {
     /// A reader over `records` records of `width` words each.
     pub fn new(file: Arc<DiskFile>, width: usize, records: u64) -> Result<Self> {
-        Self::with_source(PageSource::Direct { file, next_pid: 0 }, width, records)
-    }
-
-    /// Like [`RunReader::new`], but the run's pages are read by a dedicated
-    /// background thread through a bounded channel, overlapping run I/O
-    /// with merge CPU (worker budget > 1). The thread reads in the same
-    /// strictly sequential order, so per-file access classification is
-    /// unchanged. If the reader is dropped before the run is drained the
-    /// thread stops at the next send (at most `PREFETCH_DEPTH` pages past
-    /// the consumed prefix).
-    pub fn prefetching(file: Arc<DiskFile>, width: usize, records: u64) -> Result<Self> {
-        let per_page = records_per_page(width)?;
-        let pages = records.div_ceil(per_page as u64);
-        let (tx, rx) = sync_channel::<Result<Page>>(PREFETCH_DEPTH);
-        std::thread::spawn(move || {
-            for pid in 0..pages {
-                let mut page = Page::zeroed();
-                let res = file.read_page(PageId(pid), &mut page).map(|_| page);
-                let stop = res.is_err();
-                if tx.send(res).is_err() || stop {
-                    break;
-                }
-            }
-        });
-        Self::with_source(PageSource::Prefetch(rx), width, records)
-    }
-
-    fn with_source(source: PageSource, width: usize, records: u64) -> Result<Self> {
         Ok(RunReader {
-            source,
+            file,
+            next_pid: 0,
             page: Page::zeroed(),
             width,
             per_page: records_per_page(width)?,
@@ -482,17 +398,8 @@ impl RunReader {
             return Ok(None);
         }
         if !self.loaded || self.in_page == self.per_page {
-            match &mut self.source {
-                PageSource::Direct { file, next_pid } => {
-                    file.read_page(PageId(*next_pid), &mut self.page)?;
-                    *next_pid += 1;
-                }
-                PageSource::Prefetch(rx) => {
-                    self.page = rx
-                        .recv()
-                        .map_err(|_| CtError::invalid("run prefetch thread exited early"))??;
-                }
-            }
+            self.file.read_page(PageId(self.next_pid), &mut self.page)?;
+            self.next_pid += 1;
             self.in_page = 0;
             self.loaded = true;
         }
@@ -621,75 +528,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential_bytes_and_stats() {
-        use crate::env::Parallelism;
-        use ct_common::CostModel;
-        let run = |threads: usize| {
-            let env = StorageEnv::with_config_parallel(
-                "sort-par",
-                64,
-                CostModel::default(),
-                Parallelism::new(threads),
-            )
-            .unwrap();
-            let before = env.snapshot();
-            let mut s = ExternalSorter::with_budget(&env, 3, vec![2, 0], 3 * 700);
-            let mut x = 88172645463325252u64;
-            for _ in 0..9000 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                s.push(&[x % 97, x % 11, x % 53]).unwrap();
-            }
-            let out = s.finish().unwrap().collect_all().unwrap();
-            (out, env.snapshot().since(&before))
-        };
-        let (seq_out, seq_stats) = run(1);
-        let (par_out, par_stats) = run(4);
-        assert_eq!(seq_out, par_out, "record order must not depend on worker count");
-        assert_eq!(seq_stats, par_stats, "I/O totals must not depend on worker count");
-    }
-
-    #[test]
-    fn prefetch_reader_matches_direct_reader() {
-        let env = env();
-        let file = env.create_raw_file("pf").unwrap();
-        let width = 3;
-        let n = 2000u64;
-        let mut w = RunWriter::new(file.clone(), width);
-        for i in 0..n {
-            w.push(&[i, i * 2, i * 3]).unwrap();
-        }
-        w.finish().unwrap();
-        let mut direct = RunReader::new(file.clone(), width, n).unwrap();
-        let mut prefetch = RunReader::prefetching(file, width, n).unwrap();
-        loop {
-            let a = direct.next_record().unwrap().map(<[u64]>::to_vec);
-            let b = prefetch.next_record().unwrap().map(<[u64]>::to_vec);
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn dropping_prefetch_reader_mid_run_is_clean() {
-        let env = env();
-        let file = env.create_raw_file("pf-drop").unwrap();
-        let width = 2;
-        let n = 5000u64;
-        let mut w = RunWriter::new(file.clone(), width);
-        for i in 0..n {
-            w.push(&[i, i]).unwrap();
-        }
-        w.finish().unwrap();
-        let mut r = RunReader::prefetching(file, width, n).unwrap();
-        assert!(r.next_record().unwrap().is_some());
-        drop(r); // the background thread must unblock and exit
     }
 
     #[test]
