@@ -10,6 +10,10 @@ cargo build --release --offline
 # those imports fails locally, not in the driver.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 cargo test -q --offline
+# The crates' own unit and integration tests (buffer pool, sorter, R-tree
+# corruption proptest, jobs, forest, delta tier, server): the root package's
+# tests above do not run them.
+cargo test -q --offline --workspace
 cargo test -q --offline --test crash_recovery --test fault_matrix
 # MVCC gate: N reader threads × M refresh cycles; every pinned batch must
 # match exactly one committed generation, every committed generation must be

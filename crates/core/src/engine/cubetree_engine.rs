@@ -208,7 +208,7 @@ impl RolapEngine for CubetreeEngine {
     }
 
     fn storage_bytes(&self) -> u64 {
-        self.forest.as_ref().map_or(0, |f| f.storage_bytes(&self.env))
+        self.forest.as_ref().map_or(0, |f| f.storage_bytes())
     }
 
     fn env(&self) -> &StorageEnv {

@@ -22,11 +22,12 @@
 //! forest is an independent pack (on build) or merge-pack (on refresh) job
 //! over the shared relations. When the environment's
 //! [`ct_storage::Parallelism`] budget allows, jobs are dispatched over a
-//! bounded pool of scoped worker threads. Every tree job runs against a
-//! *private* buffer pool holding a fixed share of the environment's frames,
-//! so each file's page traffic is a pure function of its job — the packed
-//! bytes *and* the simulated-I/O totals are identical for every worker count
-//! (`threads = 1` reproduces the sequential pipeline bit for bit).
+//! bounded pool of scoped worker threads. A tree job writes its new file,
+//! and merge-pack reads its old one, straight through the file and past the
+//! buffer pool, and every file belongs to one job — so each file's page
+//! traffic is a pure function of its job, and the packed bytes *and* the
+//! simulated-I/O totals are identical for every worker count (`threads = 1`
+//! reproduces the sequential pipeline bit for bit).
 //!
 //! ## Generations: concurrent reads during refresh
 //!
@@ -43,7 +44,7 @@
 //! the bytes they started with and never observe a half-swapped forest.
 
 use crate::delta::{DeltaSnapshot, DeltaTier};
-use crate::jobs::{run_jobs, Job};
+use crate::jobs::map_jobs;
 use crate::select_mapping::{select_mapping, MappingPlan};
 use crate::views::compute_views;
 use ct_common::{AttrId, Catalog, CtError, Point, Result, ViewDef, ViewId};
@@ -54,13 +55,6 @@ use ct_storage::{BufferPool, FileId, StorageEnv};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Frames each per-tree job's private pool gets: an even share of the
-/// environment's pool. A function of the forest shape only — never of the
-/// worker count — so counter totals stay parallelism-independent.
-fn job_pool_pages(env: &StorageEnv, tree_count: usize) -> usize {
-    (env.pool().capacity() / tree_count.max(1)).max(64)
-}
 
 /// Materializes replica definitions with fresh ids, returning the full
 /// physical view list and, for each entry, the logical view it answers.
@@ -393,66 +387,46 @@ impl CubetreeForest {
         drop(compute_phase);
 
         // Pack each tree: one independent job per Cubetree, dispatched over
-        // the environment's thread budget. Files are created and metadata
-        // assembled on this thread, in tree order, so shared state is touched
-        // deterministically; each job packs through its own private pool.
+        // the environment's thread budget. Files are created on this thread,
+        // in tree order, so file ids and names do not depend on the budget.
         let pack_phase = env.phase("load/pack");
         let tree_count = plan.trees.len();
-        let pool_share = job_pool_pages(env, tree_count);
         let mut fids = Vec::with_capacity(tree_count);
         let mut placements = Vec::with_capacity(all_defs.len());
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(tree_count);
-        let mut job_pools: Vec<(Arc<BufferPool>, FileId)> = Vec::with_capacity(tree_count);
         for (t, spec) in plan.trees.iter().enumerate() {
-            let fid = env.create_file(&format!("cubetree-{t}"))?;
-            fids.push(fid);
-            let idxs = def_indexes(&all_defs, &spec.views)?;
-            let infos: Vec<ViewInfo> = idxs
-                .iter()
-                .map(|&idx| {
-                    let def = &all_defs[idx];
-                    ViewInfo { view: def.id.0, arity: def.arity() as u8, agg: def.agg }
-                })
-                .collect();
-            for &idx in &idxs {
+            fids.push(env.create_file(&format!("cubetree-{t}"))?);
+            for idx in def_indexes(&all_defs, &spec.views)? {
                 placements.push(PlacedView {
                     def: all_defs[idx].clone(),
                     logical: logical[idx],
                     tree: t,
                 });
             }
-            let spec = spec.clone();
-            let relations = &relations;
-            let job_pool = env.new_private_pool(pool_share);
-            let job_fid = job_pool.register(env.pool().file(fid)?);
-            job_pools.push((job_pool.clone(), job_fid));
-            let recorder = env.recorder().clone();
-            jobs.push(Box::new(move || {
-                // Wall-only span: page I/O of concurrent jobs cannot be told
-                // apart on the shared counters, so per-tree spans time only.
-                let _span = recorder.span(&format!("load/pack/tree{t}"));
-                let mut builder =
-                    TreeBuilder::new(job_pool.clone(), job_fid, spec.dims, infos, format)?;
-                for (id, &idx) in spec.views.iter().zip(&idxs) {
-                    let rel = &relations[idx];
-                    for r in 0..rel.len() {
-                        builder.push(id.0, Point::new(rel.key(r), spec.dims), &rel.states[r])?;
-                    }
-                    env.stats().add_tuples(rel.len() as u64);
+        }
+        let trees = map_jobs(env.parallelism().threads, tree_count, |t| {
+            // Wall-only span: page I/O of concurrent jobs cannot be told
+            // apart on the shared counters, so per-tree spans time only.
+            let _span = env.recorder().span(&format!("load/pack/tree{t}"));
+            let spec = &plan.trees[t];
+            let idxs = def_indexes(&all_defs, &spec.views)?;
+            let infos = idxs
+                .iter()
+                .map(|&idx| {
+                    let def = &all_defs[idx];
+                    ViewInfo { view: def.id.0, arity: def.arity() as u8, agg: def.agg }
+                })
+                .collect();
+            let mut builder =
+                TreeBuilder::new(env.pool().clone(), fids[t], spec.dims, infos, format)?;
+            for (id, &idx) in spec.views.iter().zip(&idxs) {
+                let rel = &relations[idx];
+                for r in 0..rel.len() {
+                    builder.push(id.0, Point::new(rel.key(r), spec.dims), &rel.states[r])?;
                 }
-                builder.finish()?;
-                job_pool.flush_all()?;
-                Ok(())
-            }));
-        }
-        run_jobs(env.parallelism().threads, jobs)?;
-        // Adopt each job pool's warm frames into the shared pool and rebind
-        // the packed trees to it, in tree order.
-        let mut trees = Vec::with_capacity(tree_count);
-        for (&fid, (job_pool, job_fid)) in fids.iter().zip(&job_pools) {
-            env.pool().absorb_clean(job_pool, *job_fid, fid)?;
-            trees.push(PackedRTree::open(env.pool().clone(), fid)?);
-        }
+                env.stats().add_tuples(rel.len() as u64);
+            }
+            builder.finish()
+        })?;
         // Durability commit: sync the packed files, then atomically publish
         // them as the live file set. Until this lands, recovery treats every
         // file of this build as an orphan.
@@ -629,8 +603,7 @@ impl CubetreeForest {
     }
 
     /// Total allocated bytes across the current generation's files.
-    pub fn storage_bytes(&self, env: &StorageEnv) -> u64 {
-        let _ = env; // historical signature; the generation carries its pool
+    pub fn storage_bytes(&self) -> u64 {
         self.pin().storage_bytes()
     }
 
@@ -702,62 +675,30 @@ impl CubetreeForest {
         let relations = compute_views(env, catalog, delta_fact, &self.defs, packed_sort_cols)?;
         drop(compute_phase);
         let merge_phase = env.phase("update/merge");
-        // Flush the shared pool so each job's private pool reads the current
-        // on-disk bytes of the tree it is refreshing.
-        env.pool().flush_all()?;
         let tree_count = self.plan.trees.len();
-        let pool_share = job_pool_pages(env, tree_count);
-        let format = self.format;
-        let relations = &relations;
-        let mut new_fids = Vec::with_capacity(tree_count);
-        let mut jobs: Vec<Job<'_>> = Vec::with_capacity(tree_count);
-        let mut job_pools: Vec<(Arc<BufferPool>, FileId)> = Vec::with_capacity(tree_count);
-        for (t, spec) in self.plan.trees.iter().enumerate() {
-            let new_fid = env.create_file(&format!("cubetree-{t}-gen{next_number}"))?;
-            new_fids.push(new_fid);
-            let old_fid = base.fids[t];
-            let infos: Vec<ViewInfo> =
-                base.trees[t].views().iter().map(|(info, _)| *info).collect();
-            let idxs = def_indexes(&self.defs, &spec.views)?;
-            let dims = spec.dims;
-            let job_pool = env.new_private_pool(pool_share);
-            let job_old_fid = job_pool.register(env.pool().file(old_fid)?);
-            let job_new_fid = job_pool.register(env.pool().file(new_fid)?);
-            job_pools.push((job_pool.clone(), job_new_fid));
-            let recorder = env.recorder().clone();
-            jobs.push(Box::new(move || {
-                let _span = recorder.span(&format!("update/merge/tree{t}"));
-                // The tree's merged delta stream: views in spec order
-                // (ascending arity) are globally packed-sorted.
-                let mut items: Vec<(u32, Point, ct_common::AggState)> = Vec::new();
-                for idx in idxs {
-                    let (id, rel) = (self.defs[idx].id, &relations[idx]);
-                    for r in 0..rel.len() {
-                        items.push((id.0, Point::new(rel.key(r), dims), rel.states[r]));
-                    }
+        let new_fids = (0..tree_count)
+            .map(|t| env.create_file(&format!("cubetree-{t}-gen{next_number}")))
+            .collect::<Result<Vec<_>>>()?;
+        let new_trees = map_jobs(env.parallelism().threads, tree_count, |t| {
+            let _span = env.recorder().span(&format!("update/merge/tree{t}"));
+            let (spec, old) = (&self.plan.trees[t], &base.trees[t]);
+            // The tree's merged delta stream: views in spec order
+            // (ascending arity) are globally packed-sorted.
+            let mut items: Vec<(u32, Point, ct_common::AggState)> = Vec::new();
+            for idx in def_indexes(&self.defs, &spec.views)? {
+                let (id, rel) = (self.defs[idx].id, &relations[idx]);
+                for r in 0..rel.len() {
+                    items.push((id.0, Point::new(rel.key(r), spec.dims), rel.states[r]));
                 }
-                env.stats().add_tuples(items.len() as u64);
-                let mut delta = VecStream::new(items);
-                let old_tree = PackedRTree::open(job_pool.clone(), job_old_fid)?;
-                merge_pack(job_pool.clone(), &old_tree, &mut delta, job_new_fid, infos, format)?;
-                job_pool.flush_all()?;
-                Ok(())
-            }));
-        }
-        run_jobs(env.parallelism().threads, jobs)?;
+            }
+            env.stats().add_tuples(items.len() as u64);
+            let infos = old.views().iter().map(|(info, _)| *info).collect();
+            let mut delta = VecStream::new(items);
+            merge_pack(env.pool().clone(), old, &mut delta, new_fids[t], infos, self.format)
+        })?;
         drop(merge_phase);
         let _swap_phase = env.phase("update/swap");
         env.faults().crash_point("update/pre_commit")?;
-        // Assemble the next generation in memory first: adopt each job
-        // pool's warm frames into the shared pool (so it stays as warm as a
-        // sequential merge would have left it) and open the packed trees
-        // over them. No page writes happen past this point.
-        let mut new_trees = Vec::with_capacity(tree_count);
-        for (t, &new_fid) in new_fids.iter().enumerate() {
-            let (job_pool, job_new_fid) = &job_pools[t];
-            env.pool().absorb_clean(job_pool, *job_new_fid, new_fid)?;
-            new_trees.push(PackedRTree::open(env.pool().clone(), new_fid)?);
-        }
         // Durability commit: sync the new generation's files, then publish
         // them with one atomic manifest rename. Before the rename lands the
         // old file set is live (a crash recovers to pre-update state);
@@ -852,7 +793,7 @@ mod tests {
         assert_eq!(forest.entries_of(ViewId(3)), 1);
         assert!(forest.entries_of(ViewId(0)) >= forest.entries_of(ViewId(1)));
         assert_eq!(forest.entries_of(ViewId(99)), 0, "unknown view has no entries");
-        assert!(forest.storage_bytes(&env) > 0);
+        assert!(forest.storage_bytes() > 0);
     }
 
     #[test]

@@ -12,9 +12,6 @@ use ct_common::{CtError, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One boxed job.
-pub(crate) type Job<'a> = Box<dyn FnOnce() -> Result<()> + Send + 'a>;
-
 /// Runs `f(i)`, converting a panic into an error. The panic payload's
 /// message is preserved when it is a string.
 fn run_caught<T>(f: &(impl Fn(usize) -> Result<T> + Sync), i: usize) -> Result<T> {
@@ -71,17 +68,6 @@ pub(crate) fn map_jobs<T: Send>(
         .collect()
 }
 
-/// Runs independent boxed jobs through [`map_jobs`].
-pub(crate) fn run_jobs(threads: usize, jobs: Vec<Job<'_>>) -> Result<()> {
-    let slots: Vec<Mutex<Option<Job<'_>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    map_jobs(threads, slots.len(), |i| {
-        let job = slots[i].lock().unwrap_or_else(|p| p.into_inner()).take();
-        job.map_or(Ok(()), |job| job())
-    })?;
-    Ok(())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -92,34 +78,30 @@ mod tests {
     fn all_jobs_run_at_any_thread_count() {
         for threads in [1, 2, 4, 16] {
             let done = AtomicU64::new(0);
-            let jobs: Vec<Job<'_>> = (0..10)
-                .map(|_| {
-                    Box::new(|| {
-                        done.fetch_add(1, Ordering::SeqCst);
-                        Ok(())
-                    }) as Job<'_>
-                })
-                .collect();
-            run_jobs(threads, jobs).unwrap();
+            let out = map_jobs(threads, 10, |i| {
+                done.fetch_add(1, Ordering::SeqCst);
+                Ok(i * 2)
+            })
+            .unwrap();
             assert_eq!(done.load(Ordering::SeqCst), 10);
+            assert_eq!(out, (0..10).map(|i| i * 2).collect::<Vec<_>>(), "outputs in index order");
         }
     }
 
     #[test]
     fn lowest_index_error_wins() {
-        let jobs: Vec<Job<'_>> = vec![
-            Box::new(|| Ok(())),
-            Box::new(|| Err(CtError::invalid("second"))),
-            Box::new(|| Err(CtError::invalid("third"))),
-        ];
-        let err = run_jobs(4, jobs).unwrap_err();
+        let err = map_jobs(4, 3, |i| match i {
+            0 => Ok(()),
+            1 => Err(CtError::invalid("second")),
+            _ => Err(CtError::invalid("third")),
+        })
+        .unwrap_err();
         assert!(err.to_string().contains("second"), "got: {err}");
     }
 
     #[test]
     fn panics_become_errors() {
-        let jobs: Vec<Job<'_>> = vec![Box::new(|| panic!("boom"))];
-        let err = run_jobs(2, jobs).unwrap_err();
+        let err = map_jobs(2, 2, |i| if i == 1 { panic!("boom") } else { Ok(()) }).unwrap_err();
         assert!(err.to_string().contains("boom"), "got: {err}");
     }
 }

@@ -3,9 +3,10 @@
 //! The packing algorithm is the \[RL85\] packed R-tree adapted per the paper:
 //! the input stream is sorted by the `x_d, …, x_1` packing order (§2.3),
 //! leaves are filled to capacity and written in one sequential pass, then
-//! each upper level is built from the level below, also sequentially. The
-//! builder *enforces* the two invariants the Cubetree organization depends
-//! on:
+//! each upper level is built from the level below, also sequentially, and
+//! the meta page (page 0) last. A packed file is written once, so every page
+//! goes straight to its [`DiskFile`], past the buffer pool. The builder
+//! *enforces* the two invariants the Cubetree organization depends on:
 //!
 //! 1. input order: points must arrive in non-decreasing packed order, with no
 //!    duplicate (view, point) pairs — duplicates must have been aggregated
@@ -19,7 +20,7 @@ use crate::node::{
 };
 use crate::tree::PackedRTree;
 use ct_common::{AggState, CtError, Point, Rect, Result};
-use ct_storage::{BufferPool, FileId, PageId};
+use ct_storage::{BufferPool, DiskFile, FileId, Page, PageId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -114,8 +115,12 @@ fn less_msb(x: u64, y: u64) -> bool {
 
 /// Streaming packer for one R-tree.
 pub struct TreeBuilder {
+    /// Carries the recorder and backs the finished tree; pages skip it.
     pool: Arc<BufferPool>,
     fid: FileId,
+    file: Arc<DiskFile>,
+    /// The one page buffer every page is encoded into before its write.
+    page: Page,
     dims: usize,
     order: PackOrder,
     views: Vec<(ViewInfo, ViewExtent)>,
@@ -163,7 +168,9 @@ impl TreeBuilder {
                 "Morton packing interleaves views and is limited to single-view trees                  (the paper's argument against space-filling curves, §2.4)",
             ));
         }
-        let meta = pool.new_page(fid)?;
+        let file = pool.file(fid)?;
+        // Page 0 is reserved for the meta page, which `finish` writes last.
+        let meta = file.allocate();
         debug_assert_eq!(meta, PageId(0));
         let mut view_slot = HashMap::new();
         for (i, v) in views.iter().enumerate() {
@@ -174,6 +181,8 @@ impl TreeBuilder {
         Ok(TreeBuilder {
             pool,
             fid,
+            file,
+            page: Page::zeroed(),
             dims,
             order,
             views: views.into_iter().map(|v| (v, ViewExtent::default())).collect(),
@@ -265,7 +274,7 @@ impl TreeBuilder {
     /// page the next leaf will get (`last` ends the chain instead), and
     /// records its MBR for the upper levels.
     fn seal_leaf(&mut self, last: bool) -> Result<()> {
-        let pid = self.pool.new_page(self.fid)?;
+        let pid = self.file.allocate();
         // Leaves are the only pages allocated before `finish` builds the
         // upper levels, so a leaf's successor is the next page of the file.
         if self.level0.last().is_some_and(|&(_, prev)| prev + 1 != pid.0) {
@@ -285,13 +294,14 @@ impl TreeBuilder {
             ext.last_leaf = pid.0;
         }
         let next = if last { NO_LEAF } else { pid.0 + 1 };
-        self.pool.with_page_mut(self.fid, pid, |p| self.enc.write(p, next))?;
+        self.enc.write(&mut self.page, next);
+        self.file.write_page(pid, &self.page)?;
         let mbr = std::mem::replace(&mut self.cur_mbr, Rect::empty(self.dims));
         self.level0.push((mbr, pid.0));
         Ok(())
     }
 
-    /// Finishes the pack: flushes the last leaf, builds the internal levels
+    /// Finishes the pack: seals the last leaf, builds the internal levels
     /// bottom-up, writes the meta page and returns the finished tree.
     pub fn finish(mut self) -> Result<PackedRTree> {
         // An empty tree gets a single empty leaf as its root.
@@ -310,8 +320,9 @@ impl TreeBuilder {
                         mbr.expand(r);
                     }
                 }
-                let pid = self.pool.new_page(self.fid)?;
-                self.pool.with_page_mut(self.fid, pid, |p| write_internal(p, self.dims, chunk))?;
+                let pid = self.file.allocate();
+                write_internal(&mut self.page, self.dims, chunk);
+                self.file.write_page(pid, &self.page)?;
                 next.push((mbr, pid.0));
             }
             level = next;
@@ -326,7 +337,8 @@ impl TreeBuilder {
             first_leaf: self.first_leaf,
             views: self.views.clone(),
         };
-        self.pool.with_page_mut(self.fid, PageId(0), |p| meta.write(p))?;
+        meta.write(&mut self.page);
+        self.file.write_page(PageId(0), &self.page)?;
         // Pack metrics (inert when the pool's recorder is disabled). Once per
         // finished tree, so the one-shot registry-locking calls are fine.
         let recorder = self.pool.recorder();
@@ -500,9 +512,10 @@ mod tests {
 
     #[test]
     fn builder_and_tree_cross_thread_contract() {
-        // The parallel forest pipeline moves builders into per-tree worker
-        // threads and shares finished trees across them; both must stay Send
-        // (and the read-only tree Sync). A compile-time contract check.
+        // The parallel forest pipeline returns finished trees from per-tree
+        // worker threads for readers to share, so the tree must stay Send
+        // and Sync; builders stay Send so a pack can move between threads.
+        // A compile-time contract check.
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
         assert_send::<TreeBuilder>();

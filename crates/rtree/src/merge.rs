@@ -53,8 +53,9 @@ fn entry_cmp(a: &(u32, Point, AggState), b: &(u32, Point, AggState)) -> Ordering
 
 /// Merges `old`'s contents with a sorted `delta` stream into a freshly packed
 /// tree in `new_fid`. Entries with equal `(view, point)` have their aggregate
-/// states merged; everything else is copied through. The caller removes the
-/// old tree's file afterwards.
+/// states merged; everything else is copied through. The old tree's leaves
+/// are read once each and the new file written once, both past the buffer
+/// pool. The caller removes the old tree's file afterwards.
 pub fn merge_pack(
     pool: Arc<BufferPool>,
     old: &PackedRTree,
@@ -349,6 +350,7 @@ mod tests {
     fn merge_io_is_sequential_dominated() {
         let env = StorageEnv::new("merge-seqio").unwrap();
         let views = vec![sum_view(1, 2)];
+        let pages = |t: &PackedRTree| env.pool().file(t.file_id()).unwrap().page_count();
         // Build a tree big enough to span many leaves.
         let mut entries = Vec::new();
         for y in 1..=200u64 {
@@ -356,8 +358,15 @@ mod tests {
                 entries.push((1u32, vec![x, y], (x + y) as i64));
             }
         }
+        let before = env.snapshot();
         let old = build(&env, "old", &entries, views.clone(), 2);
-        env.pool().flush_all().unwrap();
+        // A pack writes each page of its file exactly once, past the pool.
+        // The first leaf and the meta page, written last, are its only seeks.
+        let d = env.snapshot().since(&before);
+        assert!(old.stats().leaf_pages >= 10, "{:?}", old.stats());
+        assert_eq!((d.seq_writes, d.rand_writes), (pages(&old) - 2, 2), "{d:?}");
+        assert_eq!((d.seq_reads, d.rand_reads, d.buffer_hits), (0, 0, 0), "{d:?}");
+
         let before = env.snapshot();
         let delta_items: Vec<_> = (1..=200u64)
             .map(|x| (1u32, Point::new(&[x, 201], 2), AggState::from_measure(1)))
@@ -367,15 +376,13 @@ mod tests {
         let merged =
             merge_pack(env.pool().clone(), &old, &mut delta, new_fid, views, LeafFormat::Compressed)
                 .unwrap();
-        env.pool().flush_all().unwrap();
         let d = env.snapshot().since(&before);
         assert_eq!(merged.entry_count(), 200 * 200 + 200);
-        let seq = d.seq_reads + d.seq_writes;
-        let rand = d.rand_reads + d.rand_writes;
-        assert!(
-            seq as f64 >= 5.0 * rand as f64,
-            "merge-pack must be sequential-dominated: {d:?}"
-        );
+        assert_eq!((d.seq_writes, d.rand_writes), (pages(&merged) - 2, 2), "{d:?}");
+        // Merge-pack reads each leaf of the old tree exactly once, in chain
+        // order: one seek to the first leaf, then sequential.
+        let leaves = old.stats().leaf_pages;
+        assert_eq!((d.seq_reads, d.rand_reads, d.buffer_hits), (leaves - 1, 1, 0), "{d:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::node::{
     intersecting_children, LeafHead, LeafView, TreeMeta, ViewExtent, ViewInfo, NO_LEAF,
 };
 use ct_common::{AggState, CtError, Point, Rect, Result};
-use ct_storage::{BufferPool, FileId, PageId, PAGE_SIZE};
+use ct_storage::{BufferPool, FileId, Page, PageId, PAGE_SIZE};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ pub struct PackedRTree {
     meta: TreeMeta,
 }
 
-/// What a page visit copies out of the buffer pool, reused from page to page
+/// What a page visit copies out of its page, reused from page to page
 /// so that no visit allocates; callers are handed entries from here, after
 /// the page has been released.
 #[derive(Default)]
@@ -148,7 +148,8 @@ impl PackedRTree {
         f: &mut impl FnMut(u32, &Point, &AggState) -> bool,
     ) -> Result<bool> {
         if level <= 1 {
-            let leaf = self.visit_leaf(pid, Some(region), cx)?;
+            let leaf =
+                self.pool.with_page(self.fid, pid, |p| self.read_leaf(p, Some(region), cx))??;
             for row in cx.rows.chunks_exact(leaf.width()) {
                 let (point, state) = leaf.entry(row, self.meta.dims)?;
                 if !f(leaf.view, &point, &state) {
@@ -171,31 +172,30 @@ impl PackedRTree {
         Ok(more)
     }
 
-    /// The one leaf reader: inside a single `with_page`, validates the leaf
-    /// and copies out the entries inside `region` (all of them for `None`)
-    /// into `cx.rows`.
-    fn visit_leaf(&self, pid: PageId, region: Option<&Rect>, cx: &mut Scratch) -> Result<LeafHead> {
-        self.pool.with_page(self.fid, pid, |p| {
-            let leaf = LeafView::parse(p, &self.meta)?;
-            cx.rows.clear();
-            match region {
-                Some(region) => {
-                    leaf.select(region, self.meta.order == 0, &mut cx.sel);
-                    leaf.gather(cx.sel.iter().map(|&i| i as usize), &mut cx.rows);
-                }
-                None => leaf.gather(0..leaf.count, &mut cx.rows),
+    /// The one leaf decoder, for both readers: validates `p` as a leaf of
+    /// this tree and copies out the entries inside `region` (all of them for
+    /// `None`) into `cx.rows`.
+    fn read_leaf(&self, p: &Page, region: Option<&Rect>, cx: &mut Scratch) -> Result<LeafHead> {
+        let leaf = LeafView::parse(p, &self.meta)?;
+        cx.rows.clear();
+        match region {
+            Some(region) => {
+                leaf.select(region, self.meta.order == 0, &mut cx.sel);
+                leaf.gather(cx.sel.iter().map(|&i| i as usize), &mut cx.rows);
             }
-            Ok(leaf.head)
-        })?
+            None => leaf.gather(0..leaf.count, &mut cx.rows),
+        }
+        Ok(leaf.head)
     }
 
-    /// Sequential scanner over the full tree in packed order (used by
-    /// merge-pack and by full-view reads).
+    /// Sequential scanner over the full tree in packed order, merge-pack's
+    /// reader of the old tree.
     pub fn scanner(&self) -> TreeScanner<'_> {
         TreeScanner {
             tree: self,
             next_leaf: self.meta.first_leaf,
             leaf: None,
+            page: Page::zeroed(),
             cx: Scratch::default(),
             at: 0,
         }
@@ -204,11 +204,14 @@ impl PackedRTree {
 
 /// Streaming cursor over all entries of a tree, leaf chain order (= packed
 /// order). Implements the merge-side interface of
-/// [`crate::merge::EntryStream`].
+/// [`crate::merge::EntryStream`]. Each leaf is read once, straight from the
+/// file into the scanner's own page: a scan would only evict the pool's
+/// search pages.
 pub struct TreeScanner<'a> {
     tree: &'a PackedRTree,
     next_leaf: u64,
     leaf: Option<LeafHead>,
+    page: Page,
     /// The current leaf's entries, and the offset of the next one.
     cx: Scratch,
     at: usize,
@@ -229,7 +232,8 @@ impl TreeScanner<'_> {
                 return Ok(None);
             }
             let pid = self.next_leaf;
-            let leaf = self.tree.visit_leaf(PageId(pid), None, &mut self.cx)?;
+            self.tree.pool.file(self.tree.fid)?.read_page(PageId(pid), &mut self.page)?;
+            let leaf = self.tree.read_leaf(&self.page, None, &mut self.cx)?;
             // Leaves are allocated as they are sealed, so the chain ascends;
             // anything else could loop.
             if leaf.next <= pid {
@@ -466,7 +470,6 @@ mod tests {
         assert_eq!(sum, expected);
 
         // Reopen from disk and repeat a point query.
-        env.pool().flush_all().unwrap();
         let t2 = PackedRTree::open(env.pool().clone(), fid).unwrap();
         let mut hit = None;
         t2.search(&Rect::new(&[40, 40, 25], &[40, 40, 25]), |_, _, s| {

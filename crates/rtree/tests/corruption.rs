@@ -55,14 +55,15 @@ fn build(env: &StorageEnv, format: LeafFormat) -> (FileId, PackedRTree) {
             b.push(1, Point::new(&[x * 7, y], 2), &AggState::from_measure((x * y) as i64)).unwrap();
         }
     }
-    let t = b.finish().unwrap();
-    env.pool().flush_all().unwrap();
-    (fid, t)
+    (fid, b.finish().unwrap())
 }
 
-/// Rewrites a page through the pool, so the checksum matches the damage.
+/// Rewrites a page through the pool and flushes it to disk, so the checksum
+/// matches the damage and both readers see it: the search reads through the
+/// pool, the scanner straight from the file.
 fn damage(env: &StorageEnv, fid: FileId, pid: u64, f: impl FnOnce(&mut Page)) {
     env.pool().with_page_mut(fid, PageId(pid), f).unwrap();
+    env.pool().flush_all().unwrap();
 }
 
 /// Runs a whole-space search and a full scan; both must end, without a panic.
@@ -186,7 +187,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Flipping 1–8 random bytes of a random leaf or internal page — written
-    /// through the pool, so no checksum hides it — never makes a reader
+    /// through the pool and flushed, so no checksum hides it — never makes a reader
     /// panic, loop, or allocate for more than a page's worth of entries.
     #[test]
     fn prop_random_damage_never_panics(

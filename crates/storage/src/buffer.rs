@@ -9,11 +9,11 @@
 //!
 //! The pool is safe to share across threads: one clock behind one mutex.
 //! Page callbacks run under that lock (so they must not re-enter the pool).
-//! Queries run one at a time, so the shared pool sees one access sequence
-//! whatever the worker budget. For *deterministic* counter totals under the
-//! parallel build pipeline, concurrent jobs use private pools (see
-//! `StorageEnv::new_private_pool`) rather than interleaving evictions in a
-//! shared one.
+//! Queries run one at a time, so the pool sees one access sequence whatever
+//! the worker budget. Write-once files stay out of it: sort runs and packed
+//! trees are written (and merge-pack's old tree read) straight through their
+//! [`DiskFile`], so the parallel build and refresh jobs never interleave
+//! evictions here.
 
 use crate::io::IoStats;
 use crate::page::{Page, PageId};
@@ -54,9 +54,7 @@ struct Clock {
 /// Fixed-capacity page cache with second-chance replacement.
 ///
 /// Lock order: the file-table lock may be taken *under* the clock lock
-/// (write-back during eviction) but never the other way around, and
-/// [`BufferPool::absorb_clean`] takes the target's clock under the source's
-/// (a private job pool's, never the target itself).
+/// (write-back during eviction) but never the other way around.
 pub struct BufferPool {
     files: Mutex<Vec<Option<Arc<DiskFile>>>>,
     clock: Mutex<Clock>,
@@ -190,7 +188,7 @@ impl BufferPool {
     /// Discards all frames of `fid` (dirty or not) and deletes the file.
     ///
     /// If another component still holds an `Arc<DiskFile>` to it (a raw sort
-    /// run mid-merge, a job pool mid-swap, a pinned reader's generation),
+    /// run mid-merge, a tree builder mid-pack, a pinned reader's generation),
     /// deletion is *deferred*: the file is doomed — every further read or
     /// write through any handle fails loudly — and the unlink happens when
     /// the last handle drops, instead of letting a stale handle silently
@@ -228,45 +226,6 @@ impl BufferPool {
         } else {
             file.delete()
         }
-    }
-
-    /// Adopts `from`'s cached pages of `from_fid` into this pool under
-    /// `to_fid`, in `from`'s frame order, leaving this pool as warm as if it
-    /// had produced those pages itself. Pages are installed clean — the
-    /// caller must have flushed `from` first — so no I/O is charged beyond
-    /// any dirty victims this pool evicts to make room. Called from one
-    /// thread at a time per target pool to keep the cache state
-    /// deterministic.
-    pub fn absorb_clean(&self, from: &BufferPool, from_fid: FileId, to_fid: FileId) -> Result<()> {
-        if self.files.lock().get(to_fid.0 as usize).and_then(|f| f.as_ref()).is_none() {
-            return Err(CtError::invalid("absorbing into a removed file"));
-        }
-        let src = from.clock.lock();
-        let mut dst = self.clock.lock();
-        for f in &src.frames {
-            if !f.occupied || f.key.0 != from_fid.0 {
-                continue;
-            }
-            if f.dirty {
-                return Err(CtError::invalid("absorb_clean requires a flushed source pool"));
-            }
-            let key = (to_fid.0, f.key.1);
-            let idx = match dst.map.get(&key) {
-                Some(&idx) => idx,
-                None => {
-                    let idx = self.find_victim(&mut dst)?;
-                    dst.map.insert(key, idx);
-                    idx
-                }
-            };
-            let frame = &mut dst.frames[idx];
-            frame.key = key;
-            frame.page.bytes_mut().copy_from_slice(f.page.bytes());
-            frame.dirty = false;
-            frame.referenced = true;
-            frame.occupied = true;
-        }
-        Ok(())
     }
 
     /// Total allocated bytes across live files.
@@ -532,34 +491,6 @@ mod more_tests {
         pool.flush_all().unwrap();
         // 4 threads × 50 pages, all values must have survived the shared pool.
         assert_eq!(pool.total_bytes(), 4 * 50 * crate::page::PAGE_SIZE as u64);
-    }
-
-    #[test]
-    fn absorb_clean_warms_target_without_io() {
-        let dir = TempDir::new("buffer-absorb").unwrap();
-        let stats = Arc::new(IoStats::new());
-        let main = BufferPool::new(8, stats.clone());
-        let file = Arc::new(DiskFile::create(dir.path().join("t.db"), stats.clone()).unwrap());
-        let main_fid = main.register(file.clone());
-        let job = BufferPool::new(8, stats.clone());
-        let job_fid = job.register(file);
-        let mut pids = Vec::new();
-        for i in 0..5u64 {
-            let pid = job.new_page(job_fid).unwrap();
-            job.with_page_mut(job_fid, pid, |p| p.put_u64(0, i * 7)).unwrap();
-            pids.push(pid);
-        }
-        // Unflushed source is rejected; flushed source transfers cleanly.
-        assert!(main.absorb_clean(&job, job_fid, main_fid).is_err());
-        job.flush_all().unwrap();
-        let before = stats.snapshot();
-        main.absorb_clean(&job, job_fid, main_fid).unwrap();
-        for (i, pid) in pids.iter().enumerate() {
-            main.with_page(main_fid, *pid, |p| assert_eq!(p.get_u64(0), i as u64 * 7)).unwrap();
-        }
-        let d = stats.snapshot().since(&before);
-        assert_eq!(d.seq_reads + d.rand_reads, 0, "absorbed pages must be buffer hits");
-        assert_eq!(d.buffer_hits, 5);
     }
 
     #[test]

@@ -290,20 +290,6 @@ impl StorageEnv {
         self.parallelism
     }
 
-    /// A fresh private buffer pool charging into this environment's counters.
-    ///
-    /// Per-tree build/refresh jobs run against private pools so their page
-    /// traffic is a pure function of the job, independent of how jobs are
-    /// interleaved across workers — which keeps the counter totals identical
-    /// for every [`Parallelism`] setting.
-    pub fn new_private_pool(&self, pages: usize) -> Arc<BufferPool> {
-        Arc::new(BufferPool::with_recorder(
-            pages.max(1),
-            self.stats.clone(),
-            self.recorder.clone(),
-        ))
-    }
-
     /// The directory the environment's files live in.
     pub fn dir_path(&self) -> &Path {
         self.dir.path()
@@ -680,19 +666,5 @@ mod tests {
         let _w = p.child_wall("tree0");
         drop(p);
         assert!(env.recorder().snapshot().spans.is_empty());
-    }
-
-    #[test]
-    fn private_pools_share_counters() {
-        let env = StorageEnv::new("env-priv").unwrap();
-        let before = env.snapshot();
-        let pool = env.new_private_pool(8);
-        let file = env.create_raw_file("t").unwrap();
-        let fid = pool.register(file);
-        let pid = pool.new_page(fid).unwrap();
-        pool.with_page_mut(fid, pid, |p| p.put_u64(0, 7)).unwrap();
-        pool.flush_all().unwrap();
-        let d = env.snapshot().since(&before);
-        assert_eq!(d.seq_writes + d.rand_writes, 1, "private pool writes hit env stats");
     }
 }

@@ -255,12 +255,12 @@ fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
         let forest =
             CubetreeForest::build(&env, w.catalog(), &fact, &cfg.views, &cfg.replicas, elided).unwrap();
         env.pool().flush_all().unwrap();
-        (answers(&forest, &env), forest.storage_bytes(&env))
+        (answers(&forest, &env), forest.storage_bytes())
     };
     let env = open_env();
     let forest = CubetreeForest::open(&env, &cfg.views, &cfg.replicas, LeafFormat::Compressed).unwrap();
     assert_eq!(answers(&forest, &env), before, "same bytes, read under another configured format");
-    assert_eq!(forest.storage_bytes(&env), elided_bytes);
+    assert_eq!(forest.storage_bytes(), elided_bytes);
 
     forest.update(&env, w.catalog(), &delta).unwrap();
     let mut reference = CubetreeEngine::new(w.catalog().clone(), cfg).unwrap();
@@ -269,7 +269,7 @@ fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
     let expect: Vec<Vec<QueryRow>> =
         queries.iter().map(|q| normalize_rows(reference.query(q).unwrap())).collect();
     assert_eq!(answers(&forest, &env), expect, "after the refresh into compressed leaves");
-    let packed_bytes = forest.storage_bytes(&env);
+    let packed_bytes = forest.storage_bytes();
     assert!(
         packed_bytes * 3 < elided_bytes,
         "the refresh rewrote every tree in the configured format: {packed_bytes} vs {elided_bytes} bytes"
