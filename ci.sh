@@ -35,6 +35,11 @@ cargo run -q --release --offline --example quickstart > /dev/null
 # threads does not change what they cost).
 cargo run -q --release --offline -p ct-bench --bin fig12_queries -- \
   --sf 0.005 --queries 20 --threads 2 --metrics target/fig12_metrics.json > /dev/null
+# Table 5 gate: the allocation binary prints no wall-clock figure, so its
+# JSON must equal the checked-in copy byte for byte.
+cargo run -q --release --offline -p ct-bench --bin table5_allocation -- \
+  --sf 0.02 --json target/table5_allocation.json > /dev/null
+diff target/table5_allocation.json results/table5_allocation.json
 # Serving smoke: ephemeral-port server, one JSON query, one CSV query, one
 # refresh, clean shutdown.
 cargo run -q --release --offline --example serving_smoke > /dev/null

@@ -153,8 +153,15 @@ fn main() {
         use ct_rtree::{morton_cmp, PackOrder, TreeBuilder, ViewInfo};
         use ct_storage::StorageEnv;
 
-        let env = StorageEnv::with_config("pack-order", pool, ct_common::CostModel::DISK_1998)
-            .expect("env");
+        let env = StorageEnv::with_config(
+            "pack-order",
+            pool,
+            ct_common::CostModel::DISK_1998,
+            ct_storage::Parallelism::default(),
+            ct_obs::Recorder::disabled(),
+            ct_storage::FaultPlan::none(),
+        )
+        .expect("env");
         let fact = w.generate_fact();
         let top = ct_cube::compute_view(
             &env,

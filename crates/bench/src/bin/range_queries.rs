@@ -14,6 +14,7 @@ use ct_workload::{run_batch, QueryGenerator};
 fn main() {
     let args = BenchArgs::parse();
     let engines = build_engines_or_die(&args);
+    engines.start_cold().expect("cold pools");
     let w = &engines.warehouse;
     let a = w.attrs();
     let base = vec![a.partkey, a.suppkey, a.custkey];

@@ -68,6 +68,15 @@ pub fn build_engines(args: &BenchArgs) -> Result<Engines> {
     Ok(Engines { warehouse, fact, conventional, cubetree, conv_load, cube_load })
 }
 
+impl Engines {
+    /// Empties both engines' buffer pools (dirty pages written back first),
+    /// so a query run starts both cold whatever their loads left behind.
+    pub fn start_cold(&self) -> Result<()> {
+        self.conventional.env().pool().evict_all()?;
+        self.cubetree.env().pool().evict_all()
+    }
+}
+
 /// [`build_engines`] with a process-exit on failure (bench binaries).
 pub fn build_engines_or_die(args: &BenchArgs) -> Engines {
     build_engines(args).unwrap_or_else(|e| {

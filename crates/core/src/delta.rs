@@ -69,9 +69,10 @@ pub struct DeltaConfig {
 }
 
 impl Default for DeltaConfig {
-    /// 200,000 groups of a four-attribute tier hold about 16 MB (80 bytes a
-    /// group: 12 per key column, 32 for the aggregate state and
-    /// permutations), so the row trigger is also the memory bound. Reading
+    /// 200,000 groups of a three-attribute tier (the paper's views are keyed
+    /// by partkey, suppkey and custkey) hold about 14 MB (68 bytes a group:
+    /// 12 per key column for the key and its permutation entry, 32 for the
+    /// aggregate state), so the row trigger is also the memory bound. Reading
     /// the tier costs O(log resident + matching rows), so its size is bounded
     /// by memory and by how long rows may wait for the trees, not by query
     /// cost; and a merge-pack rewrites the whole forest whatever the batch,
@@ -378,7 +379,7 @@ pub struct DeltaTier {
 
 impl DeltaTier {
     /// Creates an empty tier for fact rows keyed by `attrs` (canonical
-    /// column order; ingested relations may permute it).
+    /// column order; ingested relations may permute it and carry more).
     pub fn new(recorder: &ct_obs::Recorder, attrs: Vec<AttrId>, deletion_safe: bool) -> DeltaTier {
         DeltaTier {
             attrs: Arc::new(attrs),
@@ -418,14 +419,15 @@ impl DeltaTier {
     }
 
     /// Absorbs a fact relation as a new run, merged with the newest active
-    /// runs of similar size. The relation's attribute set must equal the
-    /// tier's (any permutation); keys are permuted to canonical order as
-    /// they land. The rows are visible to snapshots taken after this returns.
+    /// runs of similar size. The relation's attributes must include the
+    /// tier's, in any order; keys are projected to the tier's attributes in
+    /// canonical order as they land, and other columns are dropped. The rows
+    /// are visible to snapshots taken after this returns.
     ///
     /// Returns the number of source rows absorbed.
     ///
     /// # Errors
-    /// [`CtError::InvalidArgument`] on an attribute-set mismatch;
+    /// [`CtError::InvalidArgument`] if a tier attribute is missing;
     /// [`CtError::Unsupported`] if the rows carry retractions but a
     /// materialized aggregate cannot absorb them.
     pub fn ingest(&self, rows: &Relation) -> Result<u64> {
@@ -438,13 +440,6 @@ impl DeltaTier {
                  that cannot absorb retractions (use count, avg or sum+count)",
             ));
         }
-        if rows.attrs.len() != self.attrs.len() {
-            return Err(CtError::invalid(format!(
-                "ingest schema has {} attributes, the fact schema has {}",
-                rows.attrs.len(),
-                self.attrs.len()
-            )));
-        }
         if rows.len() > u32::MAX as usize {
             return Err(CtError::invalid(
                 "one ingest holds at most u32::MAX rows".to_string(),
@@ -456,7 +451,7 @@ impl DeltaTier {
             .iter()
             .map(|a| {
                 rows.col_of(*a).ok_or_else(|| {
-                    CtError::invalid(format!("ingest schema is missing fact attribute {a:?}"))
+                    CtError::invalid(format!("ingest schema is missing attribute {a:?}"))
                 })
             })
             .collect::<Result<Vec<usize>>>()?;
@@ -759,6 +754,19 @@ mod tests {
         );
         let safe = DeltaTier::new(&ct_obs::Recorder::disabled(), vec![a, AttrId(1)], true);
         assert!(safe.ingest(&retracting).is_ok());
+    }
+
+    #[test]
+    fn extra_columns_are_dropped() {
+        let (t, [a, b]) = tier();
+        // A column the tier is not keyed by: rows differing only there
+        // fold into one group.
+        let extra = Relation::from_fact(vec![AttrId(7), b, a], vec![1, 2, 3, 9, 2, 3], &[4, 5]);
+        assert_eq!(t.ingest(&extra).unwrap(), 2);
+        let snap = t.snapshot();
+        assert_eq!(snap.attrs(), &[a, b]);
+        let rows: Vec<_> = snap.rows().map(|(k, st)| (k.to_vec(), st.sum)).collect();
+        assert_eq!(rows, vec![(vec![3, 2], 9)]);
     }
 
     #[test]

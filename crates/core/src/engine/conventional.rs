@@ -132,7 +132,7 @@ impl ConventionalEngine {
                 ));
             }
         }
-        let env = StorageEnv::with_config_faults(
+        let env = StorageEnv::with_config(
             "conventional",
             config.pool_pages,
             config.cost,

@@ -92,7 +92,7 @@ pub struct CubetreeEngine {
 impl CubetreeEngine {
     /// Creates an engine (storage environment included) for `catalog`.
     pub fn new(catalog: Catalog, config: CubetreeConfig) -> Result<Self> {
-        let env = StorageEnv::with_config_faults(
+        let env = StorageEnv::with_config(
             "cubetree",
             config.pool_pages,
             config.cost,
@@ -124,7 +124,7 @@ impl CubetreeEngine {
         let forest = if env.manifest().entries.is_empty() {
             None
         } else {
-            Some(CubetreeForest::open(&env, &config.views, &config.replicas, config.format)?)
+            Some(CubetreeForest::open(&env, &catalog, &config.views, &config.replicas, config.format)?)
         };
         Ok(CubetreeEngine { env, catalog, config, forest })
     }
@@ -146,8 +146,7 @@ impl CubetreeEngine {
     pub fn refresh(&self, delta: &Relation) -> Result<()> {
         let forest = self.forest_ref()?;
         let _phase = self.env.phase("update");
-        forest.update(&self.env, &self.catalog, delta)?;
-        self.env.pool().flush_all()
+        forest.update(&self.env, &self.catalog, delta)
     }
 
     /// Streams fact rows into the in-memory delta tier. The rows are
@@ -165,11 +164,7 @@ impl CubetreeEngine {
     pub fn compact_delta(&self) -> Result<bool> {
         let forest = self.forest_ref()?;
         let _phase = self.env.phase("update");
-        let did = forest.compact_delta(&self.env, &self.catalog)?;
-        if did {
-            self.env.pool().flush_all()?;
-        }
-        Ok(did)
+        forest.compact_delta(&self.env, &self.catalog)
     }
 
     /// Resident-delta accounting (`None` before [`RolapEngine::load`]).
@@ -193,7 +188,6 @@ impl RolapEngine for CubetreeEngine {
             &self.config.replicas,
             self.config.format,
         )?;
-        self.env.pool().flush_all()?;
         self.forest = Some(forest);
         Ok(())
     }

@@ -8,7 +8,9 @@
 //! it for packing, and the SelectMapping forest is bulk-loaded tree by tree.
 //! The refresh pipeline is Figure 15: compute the delta of every placement
 //! from the increment by the same plan, and merge-pack each tree into a
-//! fresh packed file.
+//! fresh packed file. A load is that merge with no old tree, so both run
+//! through one generation writer, and [`CubetreeForest::build`] and
+//! [`CubetreeForest::open`] through one assembly.
 //!
 //! The paper's replica feature (§3: the top view stored in multiple sort
 //! orders "to further enhance the performance") is modeled as extra
@@ -19,8 +21,9 @@
 //!
 //! View computation runs once for the whole forest, each independent sort
 //! as one job ([`crate::views`]). Then each Cubetree of the SelectMapping
-//! forest is an independent pack (on build) or merge-pack (on refresh) job
-//! over the shared relations. When the environment's
+//! forest is one job of the same writer: it streams its views' relations in
+//! spec order into [`ct_rtree::write_tree`], which packs them (on load) or
+//! merges them with the tree's old scan (on refresh). When the environment's
 //! [`ct_storage::Parallelism`] budget allows, jobs are dispatched over a
 //! bounded pool of scoped worker threads. A tree job writes its new file,
 //! and merge-pack reads its old one, straight through the file and past the
@@ -50,9 +53,10 @@ use crate::views::compute_views;
 use ct_common::{AttrId, Catalog, CtError, Point, Result, ViewDef, ViewId};
 use ct_cube::compute::packed_sort_cols;
 use ct_cube::Relation;
-use ct_rtree::{merge_pack, LeafFormat, PackedRTree, TreeBuilder, VecStream, ViewInfo};
+use ct_rtree::{write_tree, IterStream, LeafFormat, PackedRTree, ViewInfo};
 use ct_storage::{BufferPool, FileId, StorageEnv};
 use parking_lot::Mutex;
+use std::iter::successors;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -83,28 +87,22 @@ fn expand_views(
     Ok((all_defs, logical))
 }
 
-/// The index into `defs` of each view id in `ids`, in `ids` order.
-fn def_indexes(defs: &[ViewDef], ids: &[ViewId]) -> Result<Vec<usize>> {
-    ids.iter()
-        .map(|id| {
-            defs.iter()
-                .position(|d| d.id == *id)
-                .ok_or_else(|| CtError::invalid("mapping plan names an unknown view"))
-        })
-        .collect()
-}
-
 /// The manifest component name of tree `t` (`cubetree-0`, `cubetree-1`, …).
 fn tree_component(t: usize) -> String {
     format!("cubetree-{t}")
 }
 
-/// The canonical fact-attribute order of the delta tier: ascending id,
-/// deduplicated. A pure function of its input, so build and recovery derive
-/// the same order from the fact schema and the view projections
-/// respectively (every materialized attribute comes from the fact).
-fn canonical_attrs(attrs: impl IntoIterator<Item = AttrId>) -> Vec<AttrId> {
-    let mut out: Vec<AttrId> = attrs.into_iter().collect();
+/// The delta tier's key: the hierarchy root of every materialized
+/// attribute, ascending by id. A root is the fact column its attribute is
+/// derived from, so a load and a reopen (where the fact is gone) derive the
+/// same key, and no view derives from a fact column the key leaves out.
+fn tier_attrs(catalog: &Catalog, defs: &[ViewDef]) -> Vec<AttrId> {
+    let hierarchies = catalog.hierarchies();
+    let base_of = |a: AttrId| hierarchies.iter().find(|h| h.derived == a).map(|h| h.base);
+    // At most one step per hierarchy, so a cyclic catalog cannot hang.
+    let root = |a| successors(Some(a), |&a| base_of(a)).take(hierarchies.len() + 1).last();
+    let mut out: Vec<AttrId> =
+        defs.iter().flat_map(|d| d.projection.iter().filter_map(|&a| root(a))).collect();
     out.sort_by_key(|a| a.0);
     out.dedup();
     out
@@ -119,6 +117,115 @@ pub struct PlacedView {
     pub logical: ViewId,
     /// Which tree of the forest holds it.
     pub tree: usize,
+}
+
+/// The forest's fixed shape: the views it materializes, the trees that hold
+/// them and the leaf format it writes. A pure function of the view set, so a
+/// reopen re-derives the shape a load built.
+struct Layout {
+    format: LeafFormat,
+    plan: MappingPlan,
+    /// Every physical view definition, primaries then replicas: the targets
+    /// each load and refresh computes, in one fixed order.
+    defs: Vec<ViewDef>,
+    /// Per tree, the index into `defs` of each view it holds, in spec order.
+    tree_defs: Vec<Vec<usize>>,
+    placements: Arc<Vec<PlacedView>>,
+}
+
+impl Layout {
+    /// Expands the replicas and allocates the SelectMapping forest.
+    fn new(
+        views: &[ViewDef],
+        replicas: &[(ViewId, Vec<AttrId>)],
+        format: LeafFormat,
+    ) -> Result<Layout> {
+        let (defs, logical) = expand_views(views, replicas)?;
+        let plan = select_mapping(&defs);
+        let position = |id: &ViewId| {
+            defs.iter()
+                .position(|d| d.id == *id)
+                .ok_or_else(|| CtError::invalid("mapping plan names an unknown view"))
+        };
+        let tree_defs = plan
+            .trees
+            .iter()
+            .map(|spec| spec.views.iter().map(position).collect())
+            .collect::<Result<Vec<Vec<usize>>>>()?;
+        let placements = (tree_defs.iter().enumerate())
+            .flat_map(|(t, idxs)| idxs.iter().map(move |&i| (t, i)))
+            .map(|(tree, i)| PlacedView { def: defs[i].clone(), logical: logical[i], tree })
+            .collect();
+        Ok(Layout { format, plan, defs, tree_defs, placements: Arc::new(placements) })
+    }
+
+    /// Writes and commits the generation after `base` (generation 0 with no
+    /// base): computes every placement from `source`, then merges each
+    /// tree's stream with `base`'s tree into a new file, one job per tree.
+    /// Files are created on this thread, in tree order, so file ids and
+    /// names do not depend on the thread budget.
+    fn write_generation(
+        &self,
+        env: &StorageEnv,
+        catalog: &Catalog,
+        source: &Relation,
+        base: Option<&Generation>,
+    ) -> Result<(Vec<PackedRTree>, Vec<FileId>)> {
+        let (compute, write) = match base {
+            None => ("load/compute_views", "load/pack"),
+            Some(_) => ("update/compute_views", "update/merge"),
+        };
+        let number = base.map_or(0, |b| b.number + 1);
+        // Every placement, replicas included, in its packing order: three
+        // sorts under the paper's set-up, the rest linear passes.
+        let compute_phase = env.phase(compute);
+        let relations = compute_views(env, catalog, source, &self.defs, packed_sort_cols)?;
+        drop(compute_phase);
+        let _write_phase = env.phase(write);
+        let tree_count = self.plan.trees.len();
+        let fids = (0..tree_count)
+            .map(|t| env.create_file(&format!("cubetree-{t}-gen{number}")))
+            .collect::<Result<Vec<_>>>()?;
+        let trees = map_jobs(env.parallelism().threads, tree_count, |t| {
+            // Wall-only span: page I/O of concurrent jobs cannot be told
+            // apart on the shared counters, so per-tree spans time only.
+            let _span = env.recorder().span(&format!("{write}/tree{t}"));
+            let (dims, idxs) = (self.plan.trees[t].dims, &self.tree_defs[t]);
+            let infos = idxs
+                .iter()
+                .map(|&i| {
+                    let def = &self.defs[i];
+                    ViewInfo { view: def.id.0, arity: def.arity() as u8, agg: def.agg }
+                })
+                .collect();
+            env.stats().add_tuples(idxs.iter().map(|&i| relations[i].len() as u64).sum());
+            // Views in spec order (ascending arity) are globally
+            // packed-sorted, so the stream is each relation in turn.
+            let mut stream = IterStream(idxs.iter().flat_map(|&i| {
+                let (view, rel) = (self.defs[i].id.0, &relations[i]);
+                (0..rel.len()).map(move |r| (view, Point::new(rel.key(r), dims), rel.states[r]))
+            }));
+            let old = base.map(|b| &b.trees[t]);
+            write_tree(env.pool().clone(), old, &mut stream, fids[t], dims, infos, self.format)
+        })?;
+        if base.is_some() {
+            env.faults().crash_point("update/pre_commit")?;
+        }
+        // Durability commit: sync the new files, then publish them with one
+        // atomic manifest rename. Until it lands, recovery treats this
+        // generation's files as orphans; after it, they are live. On a
+        // refresh the rename is also the MVCC flip point.
+        let mut entries = Vec::with_capacity(tree_count);
+        for (t, &fid) in fids.iter().enumerate() {
+            env.pool().file(fid)?.sync()?;
+            entries.push(env.manifest_entry(&tree_component(t), fid)?);
+        }
+        env.commit_manifest(entries)?;
+        if base.is_some() {
+            env.faults().crash_point("update/post_commit")?;
+        }
+        Ok((trees, fids))
+    }
 }
 
 /// Shared bookkeeping behind the `storage.generation.*` gauges: how many
@@ -339,12 +446,7 @@ impl Drop for ReaderPin {
 /// the current [`Generation`] and updates swap in a successor, so queries
 /// and refresh run concurrently on a shared reference.
 pub struct CubetreeForest {
-    format: LeafFormat,
-    plan: MappingPlan,
-    /// Every physical view definition, primaries then replicas: the targets
-    /// each load and refresh computes, in one fixed order.
-    defs: Vec<ViewDef>,
-    placements: Arc<Vec<PlacedView>>,
+    layout: Layout,
     /// The swap cell: the current generation, replaced atomically (under
     /// the lock) at each update's publish point.
     current: Mutex<Arc<Generation>>,
@@ -359,7 +461,8 @@ pub struct CubetreeForest {
 }
 
 impl CubetreeForest {
-    /// Builds the forest from a fact relation.
+    /// Builds the forest from a fact relation: a merge-pack of every tree
+    /// from an empty forest.
     ///
     /// `replicas` lists `(base view id, permuted projection)` pairs; each
     /// becomes an additional placement competing in the SelectMapping
@@ -373,95 +476,9 @@ impl CubetreeForest {
         replicas: &[(ViewId, Vec<AttrId>)],
         format: LeafFormat,
     ) -> Result<CubetreeForest> {
-        // Materialize replica definitions with fresh ids.
-        let (all_defs, logical) = expand_views(views, replicas)?;
-
-        // Allocate the forest.
-        let plan = select_mapping(&all_defs);
-
-        // Compute every placement's relation, replicas included, in its
-        // packing order: three sorts under the paper's set-up, the rest
-        // linear passes.
-        let compute_phase = env.phase("load/compute_views");
-        let relations = compute_views(env, catalog, fact, &all_defs, packed_sort_cols)?;
-        drop(compute_phase);
-
-        // Pack each tree: one independent job per Cubetree, dispatched over
-        // the environment's thread budget. Files are created on this thread,
-        // in tree order, so file ids and names do not depend on the budget.
-        let pack_phase = env.phase("load/pack");
-        let tree_count = plan.trees.len();
-        let mut fids = Vec::with_capacity(tree_count);
-        let mut placements = Vec::with_capacity(all_defs.len());
-        for (t, spec) in plan.trees.iter().enumerate() {
-            fids.push(env.create_file(&format!("cubetree-{t}"))?);
-            for idx in def_indexes(&all_defs, &spec.views)? {
-                placements.push(PlacedView {
-                    def: all_defs[idx].clone(),
-                    logical: logical[idx],
-                    tree: t,
-                });
-            }
-        }
-        let trees = map_jobs(env.parallelism().threads, tree_count, |t| {
-            // Wall-only span: page I/O of concurrent jobs cannot be told
-            // apart on the shared counters, so per-tree spans time only.
-            let _span = env.recorder().span(&format!("load/pack/tree{t}"));
-            let spec = &plan.trees[t];
-            let idxs = def_indexes(&all_defs, &spec.views)?;
-            let infos = idxs
-                .iter()
-                .map(|&idx| {
-                    let def = &all_defs[idx];
-                    ViewInfo { view: def.id.0, arity: def.arity() as u8, agg: def.agg }
-                })
-                .collect();
-            let mut builder =
-                TreeBuilder::new(env.pool().clone(), fids[t], spec.dims, infos, format)?;
-            for (id, &idx) in spec.views.iter().zip(&idxs) {
-                let rel = &relations[idx];
-                for r in 0..rel.len() {
-                    builder.push(id.0, Point::new(rel.key(r), spec.dims), &rel.states[r])?;
-                }
-                env.stats().add_tuples(rel.len() as u64);
-            }
-            builder.finish()
-        })?;
-        // Durability commit: sync the packed files, then atomically publish
-        // them as the live file set. Until this lands, recovery treats every
-        // file of this build as an orphan.
-        let mut entries = Vec::with_capacity(tree_count);
-        for (t, &fid) in fids.iter().enumerate() {
-            env.pool().file(fid)?.sync()?;
-            entries.push(env.manifest_entry(&tree_component(t), fid)?);
-        }
-        env.commit_manifest(entries)?;
-        drop(pack_phase);
-        let placements = Arc::new(placements);
-        let tracker = GenTracker::new(env.recorder());
-        let generation = Generation::new(
-            0,
-            placements.clone(),
-            trees,
-            fids,
-            env.pool().clone(),
-            tracker.clone(),
-        );
-        let delta = DeltaTier::new(
-            env.recorder(),
-            canonical_attrs(fact.attrs.iter().copied()),
-            placements.iter().all(|p| p.def.agg.deletion_safe()),
-        );
-        Ok(CubetreeForest {
-            format,
-            plan,
-            defs: all_defs,
-            placements,
-            current: Mutex::new(generation),
-            writer: Mutex::new(()),
-            tracker,
-            delta,
-        })
+        let layout = Layout::new(views, replicas, format)?;
+        let (trees, fids) = layout.write_generation(env, catalog, fact, None)?;
+        Ok(Self::assemble(env, catalog, layout, 0, trees, fids))
     }
 
     /// Reopens a forest from the environment's recovered manifest (after
@@ -474,70 +491,64 @@ impl CubetreeForest {
     /// `format`.
     pub fn open(
         env: &StorageEnv,
+        catalog: &Catalog,
         views: &[ViewDef],
         replicas: &[(ViewId, Vec<AttrId>)],
         format: LeafFormat,
     ) -> Result<CubetreeForest> {
-        let (all_defs, logical) = expand_views(views, replicas)?;
-        let plan = select_mapping(&all_defs);
-        let mut fids = Vec::with_capacity(plan.trees.len());
-        let mut trees = Vec::with_capacity(plan.trees.len());
-        let mut placements = Vec::with_capacity(all_defs.len());
-        for (t, spec) in plan.trees.iter().enumerate() {
-            let fid = env.open_file(&tree_component(t))?;
-            fids.push(fid);
-            for idx in def_indexes(&all_defs, &spec.views)? {
-                placements.push(PlacedView {
-                    def: all_defs[idx].clone(),
-                    logical: logical[idx],
-                    tree: t,
-                });
-            }
-            trees.push(PackedRTree::open(env.pool().clone(), fid)?);
-        }
+        let layout = Layout::new(views, replicas, format)?;
+        let fids = (0..layout.plan.trees.len())
+            .map(|t| env.open_file(&tree_component(t)))
+            .collect::<Result<Vec<_>>>()?;
+        let trees = fids
+            .iter()
+            .map(|&fid| PackedRTree::open(env.pool().clone(), fid))
+            .collect::<Result<Vec<_>>>()?;
         // A forest commits its environment's manifest once when built and
         // once per update, so the live generation is the commit count less
         // one: a reopened forest reports the generation it was dropped at.
         let number = env.manifest().seq.saturating_sub(1);
-        let placements = Arc::new(placements);
+        Ok(Self::assemble(env, catalog, layout, number, trees, fids))
+    }
+
+    /// The one assembly behind [`CubetreeForest::build`] and
+    /// [`CubetreeForest::open`]: the first generation (its number, trees
+    /// and files) over `layout`, the generation tracker and the delta tier.
+    fn assemble(
+        env: &StorageEnv,
+        catalog: &Catalog,
+        layout: Layout,
+        number: u64,
+        trees: Vec<PackedRTree>,
+        fids: Vec<FileId>,
+    ) -> CubetreeForest {
         let tracker = GenTracker::new(env.recorder());
-        let generation = Generation::new(
-            number,
-            placements.clone(),
-            trees,
-            fids,
-            env.pool().clone(),
-            tracker.clone(),
-        );
-        // The fact relation is gone after a restart; the union of the view
-        // projections recovers the same canonical order (every materialized
-        // attribute comes from the fact, and canonical order is sorted ids).
+        let placements = layout.placements.clone();
+        let generation =
+            Generation::new(number, placements, trees, fids, env.pool().clone(), tracker.clone());
         let delta = DeltaTier::new(
             env.recorder(),
-            canonical_attrs(views.iter().flat_map(|v| v.projection.iter().copied())),
-            placements.iter().all(|p| p.def.agg.deletion_safe()),
+            tier_attrs(catalog, &layout.defs),
+            layout.placements.iter().all(|p| p.def.agg.deletion_safe()),
         );
-        Ok(CubetreeForest {
-            format,
-            plan,
-            defs: all_defs,
-            placements,
+        CubetreeForest {
+            layout,
             current: Mutex::new(generation),
             writer: Mutex::new(()),
             tracker,
             delta,
-        })
+        }
     }
 
     /// The mapping plan (for reports and tests).
     pub fn plan(&self) -> &MappingPlan {
-        &self.plan
+        &self.layout.plan
     }
 
     /// All placements (primaries and replicas). Stable across generations —
     /// updates change tree contents, never the forest shape.
     pub fn placements(&self) -> &[PlacedView] {
-        &self.placements
+        &self.layout.placements
     }
 
     /// Pins the current generation for reading. The returned guard keeps the
@@ -659,7 +670,7 @@ impl CubetreeForest {
     ) -> Result<()> {
         let base = self.current.lock().clone();
         if delta_fact.has_retractions() {
-            if let Some(p) = self.placements.iter().find(|p| !p.def.agg.deletion_safe()) {
+            if let Some(p) = self.layout.placements.iter().find(|p| !p.def.agg.deletion_safe()) {
                 return Err(CtError::unsupported(format!(
                     "delta contains deletions but view {:?} is materialized with {}, \
                      which cannot absorb retractions; use a deletion-safe aggregate \
@@ -669,56 +680,15 @@ impl CubetreeForest {
                 )));
             }
         }
-        let next_number = base.number + 1;
-        // Every placement's delta, by the same plan a load uses.
-        let compute_phase = env.phase("update/compute_views");
-        let relations = compute_views(env, catalog, delta_fact, &self.defs, packed_sort_cols)?;
-        drop(compute_phase);
-        let merge_phase = env.phase("update/merge");
-        let tree_count = self.plan.trees.len();
-        let new_fids = (0..tree_count)
-            .map(|t| env.create_file(&format!("cubetree-{t}-gen{next_number}")))
-            .collect::<Result<Vec<_>>>()?;
-        let new_trees = map_jobs(env.parallelism().threads, tree_count, |t| {
-            let _span = env.recorder().span(&format!("update/merge/tree{t}"));
-            let (spec, old) = (&self.plan.trees[t], &base.trees[t]);
-            // The tree's merged delta stream: views in spec order
-            // (ascending arity) are globally packed-sorted.
-            let mut items: Vec<(u32, Point, ct_common::AggState)> = Vec::new();
-            for idx in def_indexes(&self.defs, &spec.views)? {
-                let (id, rel) = (self.defs[idx].id, &relations[idx]);
-                for r in 0..rel.len() {
-                    items.push((id.0, Point::new(rel.key(r), spec.dims), rel.states[r]));
-                }
-            }
-            env.stats().add_tuples(items.len() as u64);
-            let infos = old.views().iter().map(|(info, _)| *info).collect();
-            let mut delta = VecStream::new(items);
-            merge_pack(env.pool().clone(), old, &mut delta, new_fids[t], infos, self.format)
-        })?;
-        drop(merge_phase);
+        let (trees, fids) = self.layout.write_generation(env, catalog, delta_fact, Some(&base))?;
         let _swap_phase = env.phase("update/swap");
-        env.faults().crash_point("update/pre_commit")?;
-        // Durability commit: sync the new generation's files, then publish
-        // them with one atomic manifest rename. Before the rename lands the
-        // old file set is live (a crash recovers to pre-update state);
-        // after it the new one is (a crash recovers to post-update state) —
-        // never anything in between. This rename is also the MVCC flip
-        // point: the in-memory publish below follows it immediately.
-        let mut entries = Vec::with_capacity(tree_count);
-        for (t, &new_fid) in new_fids.iter().enumerate() {
-            env.pool().file(new_fid)?.sync()?;
-            entries.push(env.manifest_entry(&tree_component(t), new_fid)?);
-        }
-        env.commit_manifest(entries)?;
-        env.faults().crash_point("update/post_commit")?;
         // Publish: swap the new generation into the cell. Readers pinning
         // from now on see the new trees; existing pins keep the base.
         let next = Generation::new(
-            next_number,
-            self.placements.clone(),
-            new_trees,
-            new_fids,
+            base.number + 1,
+            self.layout.placements.clone(),
+            trees,
+            fids,
             env.pool().clone(),
             self.tracker.clone(),
         );
@@ -889,18 +859,21 @@ mod tests {
     fn generation_gauges_track_pins_and_reclamation() {
         let (_env, cat, fact, views, [p, s, c]) = setup();
         let recorder = ct_obs::Recorder::enabled();
-        let env = StorageEnv::with_config_full(
+        let env = StorageEnv::with_config(
             "forest-gauges",
             256,
             ct_common::CostModel::default(),
             ct_storage::Parallelism::default(),
             recorder.clone(),
+            ct_storage::FaultPlan::none(),
         )
         .unwrap();
         let forest =
             CubetreeForest::build(&env, &cat, &fact, &views, &[], LeafFormat::ZeroElided)
                 .unwrap();
         let gauge = |n: &str| recorder.gauge(n).get();
+        let merges = || recorder.counter("rtree.merge.merges").get();
+        assert_eq!(merges(), 0, "a load reads no old tree");
         assert_eq!(gauge("storage.generation.live"), 1.0);
         assert_eq!(gauge("storage.generation.pinned_readers"), 0.0);
         let pin = forest.pin();
@@ -911,6 +884,7 @@ mod tests {
         assert_eq!(gauge("storage.generation.live"), 2.0);
         assert!(gauge("storage.generation.deferred_bytes") > 0.0);
         assert_eq!(recorder.counter("storage.generation.flips").get(), 1);
+        assert_eq!(merges(), forest.plan().trees.len() as u64);
         drop(pin);
         assert_eq!(gauge("storage.generation.pinned_readers"), 0.0);
         assert_eq!(gauge("storage.generation.live"), 1.0);

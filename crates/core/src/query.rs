@@ -276,11 +276,12 @@ fn query_region(def: &ViewDef, dims: usize, q: &SliceQuery) -> Rect {
 
 /// Folds the resident delta snapshot into a fresh aggregator for `q`, and
 /// returns it with the number of rows the snapshot offered. The delta rows
-/// are fact-grained (keyed by the full fact schema), so any query answerable
-/// from a materialized view is answerable from them too. The snapshot offers
-/// only the rows `q`'s direct predicates select (see [`DeltaSnapshot::scan`]);
-/// the aggregator re-applies every predicate and the hierarchy rollups, and
-/// the result absorbs into a tree-scan aggregator for the same query.
+/// are keyed by the hierarchy root of every materialized attribute, so any
+/// query answerable from a materialized view is answerable from them too.
+/// The snapshot offers only the rows `q`'s direct predicates select (see
+/// [`DeltaSnapshot::scan`]); the aggregator re-applies every predicate and
+/// the hierarchy rollups, and the result absorbs into a tree-scan
+/// aggregator for the same query.
 fn delta_aggregator<'a>(
     delta: &DeltaSnapshot,
     catalog: &'a Catalog,

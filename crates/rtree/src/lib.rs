@@ -37,6 +37,6 @@ pub mod node;
 pub mod tree;
 
 pub use build::{morton_cmp, LeafFormat, PackOrder, TreeBuilder};
-pub use merge::{merge_pack, EntryStream, VecStream};
+pub use merge::{merge_pack, write_tree, EntryStream, IterStream, VecStream};
 pub use node::ViewInfo;
 pub use tree::{PackedRTree, TreeScanner, TreeStats};

@@ -5,7 +5,8 @@
 //! sorted delta stream, producing a *new* packed tree with only sequential
 //! writes — "this operation requires linear time in the total number of
 //! tuples" and is what delivers the paper's ~100:1 refresh speedup over
-//! row-at-a-time view maintenance.
+//! row-at-a-time view maintenance. A bulk load is the same merge with no
+//! old tree: [`write_tree`] serves both.
 
 use crate::build::{LeafFormat, TreeBuilder};
 use crate::node::ViewInfo;
@@ -27,21 +28,22 @@ impl EntryStream for crate::tree::TreeScanner<'_> {
     }
 }
 
-/// An [`EntryStream`] over an in-memory vector (deltas, tests).
-pub struct VecStream {
-    items: std::vec::IntoIter<(u32, Point, AggState)>,
+/// An [`EntryStream`] over an iterator of entries already in packed order.
+pub struct IterStream<I>(pub I);
+
+impl<I: Iterator<Item = (u32, Point, AggState)>> EntryStream for IterStream<I> {
+    fn next_entry(&mut self) -> Result<Option<(u32, Point, AggState)>> {
+        Ok(self.0.next())
+    }
 }
+
+/// An [`EntryStream`] over an in-memory vector (deltas, tests).
+pub type VecStream = IterStream<std::vec::IntoIter<(u32, Point, AggState)>>;
 
 impl VecStream {
     /// Wraps pre-sorted items.
     pub fn new(items: Vec<(u32, Point, AggState)>) -> Self {
-        VecStream { items: items.into_iter() }
-    }
-}
-
-impl EntryStream for VecStream {
-    fn next_entry(&mut self) -> Result<Option<(u32, Point, AggState)>> {
-        Ok(self.items.next())
+        IterStream(items.into_iter())
     }
 }
 
@@ -51,11 +53,30 @@ fn entry_cmp(a: &(u32, Point, AggState), b: &(u32, Point, AggState)) -> Ordering
     a.1.packed_cmp(&b.1).then(a.0.cmp(&b.0))
 }
 
+/// Replaces `head` with the stream's next entry. The linear merge is only
+/// correct over a strictly increasing stream (an out-of-order or duplicated
+/// entry would be spliced into the wrong leaf run), so every pull is checked
+/// against the entry it replaces rather than trusting the caller.
+fn advance<S: EntryStream + ?Sized>(
+    stream: &mut S,
+    head: &mut Option<(u32, Point, AggState)>,
+) -> Result<()> {
+    let next = stream.next_entry()?;
+    if let (Some(prev), Some(e)) = (&*head, &next) {
+        if entry_cmp(prev, e) != Ordering::Less {
+            return Err(ct_common::CtError::invalid(
+                "merge-pack delta stream is not strictly increasing in packed \
+                 (point, view) order",
+            ));
+        }
+    }
+    *head = next;
+    Ok(())
+}
+
 /// Merges `old`'s contents with a sorted `delta` stream into a freshly packed
-/// tree in `new_fid`. Entries with equal `(view, point)` have their aggregate
-/// states merged; everything else is copied through. The old tree's leaves
-/// are read once each and the new file written once, both past the buffer
-/// pool. The caller removes the old tree's file afterwards.
+/// tree in `new_fid`: [`write_tree`] with an old tree. The caller removes the
+/// old tree's file afterwards.
 pub fn merge_pack(
     pool: Arc<BufferPool>,
     old: &PackedRTree,
@@ -64,7 +85,26 @@ pub fn merge_pack(
     views: Vec<ViewInfo>,
     format: LeafFormat,
 ) -> Result<PackedRTree> {
-    if old.pack_order_code() != 0 {
+    write_tree(pool, Some(old), delta, new_fid, old.dims(), views, format)
+}
+
+/// Writes a packed `dims`-dimensional tree into `new_fid` from the linear
+/// merge of `old`'s sequential scan with a sorted `delta` stream. Entries
+/// with equal `(view, point)` have their aggregate states merged; everything
+/// else is copied through. With no old tree this is a bulk load: the merge
+/// never leaves its `(None, Some)` arm, which packs the stream as it
+/// arrives. The old tree's leaves are read once each and the new file
+/// written once, both past the buffer pool.
+pub fn write_tree<S: EntryStream + ?Sized>(
+    pool: Arc<BufferPool>,
+    old: Option<&PackedRTree>,
+    delta: &mut S,
+    new_fid: FileId,
+    dims: usize,
+    views: Vec<ViewInfo>,
+    format: LeafFormat,
+) -> Result<PackedRTree> {
+    if old.is_some_and(|t| t.pack_order_code() != 0) {
         return Err(ct_common::CtError::unsupported(
             "merge-pack requires the paper's low-sort pack order; Morton-packed \
              trees have no mergeable total order aligned with aggregation",
@@ -79,54 +119,35 @@ pub fn merge_pack(
     // added once at the end, keeping the merge loop counter-free.
     let recorder = pool.recorder().clone();
     let (mut old_n, mut delta_n, mut annihilated_n) = (0u64, 0u64, 0u64);
-    let mut builder = TreeBuilder::new(pool, new_fid, old.dims(), views, format)?;
-    let mut old_scan = old.scanner();
-    let mut a = old_scan.next_entry()?;
-    let mut b = delta.next_entry()?;
-    // The linear merge is only correct over a strictly increasing delta; an
-    // out-of-order (or duplicated) delta entry would be spliced into the
-    // wrong leaf run. Guard every pull rather than trusting the caller.
-    let mut prev_delta: Option<(u32, Point)> = None;
-    let mut check_delta = move |e: &Option<(u32, Point, AggState)>| -> Result<()> {
-        if let Some((view, point, _)) = e {
-            if let Some((pv, pp)) = &prev_delta {
-                if pp.packed_cmp(point).then(pv.cmp(view)) != Ordering::Less {
-                    return Err(ct_common::CtError::invalid(
-                        "merge-pack delta stream is not strictly increasing in packed \
-                         (point, view) order",
-                    ));
-                }
-            }
-            prev_delta = Some((*view, *point));
-        }
-        Ok(())
-    };
-    check_delta(&b)?;
+    let mut builder = TreeBuilder::new(pool, new_fid, dims, views, format)?;
+    let mut old_scan = old.map(PackedRTree::scanner);
+    let mut next_old = || old_scan.as_mut().map_or(Ok(None), |s| s.next_entry());
+    let mut a = next_old()?;
+    let mut b = None;
+    advance(delta, &mut b)?;
     loop {
         match (&a, &b) {
             (None, None) => break,
             (Some(ea), None) => {
                 builder.push(ea.0, ea.1, &ea.2)?;
                 old_n += 1;
-                a = old_scan.next_entry()?;
+                a = next_old()?;
             }
             (None, Some(eb)) => {
                 builder.push(eb.0, eb.1, &eb.2)?;
                 delta_n += 1;
-                b = delta.next_entry()?;
-                check_delta(&b)?;
+                advance(delta, &mut b)?;
             }
             (Some(ea), Some(eb)) => match entry_cmp(ea, eb) {
                 Ordering::Less => {
                     builder.push(ea.0, ea.1, &ea.2)?;
                     old_n += 1;
-                    a = old_scan.next_entry()?;
+                    a = next_old()?;
                 }
                 Ordering::Greater => {
                     builder.push(eb.0, eb.1, &eb.2)?;
                     delta_n += 1;
-                    b = delta.next_entry()?;
-                    check_delta(&b)?;
+                    advance(delta, &mut b)?;
                 }
                 Ordering::Equal => {
                     let mut merged = ea.2;
@@ -140,20 +161,22 @@ pub fn merge_pack(
                     }
                     old_n += 1;
                     delta_n += 1;
-                    a = old_scan.next_entry()?;
-                    b = delta.next_entry()?;
-                    check_delta(&b)?;
+                    a = next_old()?;
+                    advance(delta, &mut b)?;
                 }
             },
         }
     }
-    let merged = builder.finish()?;
-    recorder.add("rtree.merge.merges", 1);
-    recorder.add("rtree.merge.old_entries", old_n);
-    recorder.add("rtree.merge.delta_entries", delta_n);
-    recorder.add("rtree.merge.out_entries", merged.entry_count());
-    recorder.add("rtree.merge.annihilated_entries", annihilated_n);
-    Ok(merged)
+    let written = builder.finish()?;
+    // A load reads no old tree, so it is no merge to these counters.
+    if old.is_some() {
+        recorder.add("rtree.merge.merges", 1);
+        recorder.add("rtree.merge.old_entries", old_n);
+        recorder.add("rtree.merge.delta_entries", delta_n);
+        recorder.add("rtree.merge.out_entries", written.entry_count());
+        recorder.add("rtree.merge.annihilated_entries", annihilated_n);
+    }
+    Ok(written)
 }
 
 #[cfg(test)]
@@ -331,6 +354,53 @@ mod tests {
             merge_pack(env.pool().clone(), &old, &mut delta, new_fid, views, LeafFormat::Compressed)
                 .unwrap();
         assert_eq!(merged.entry_count(), 2);
+    }
+
+    #[test]
+    fn write_tree_without_old_tree_is_a_pack() {
+        let env = StorageEnv::new("merge-load").unwrap();
+        let views = vec![sum_view(0, 0), sum_view(8, 1), sum_view(9, 2)];
+        let mut entries = vec![(0u32, vec![], 100i64)];
+        entries.extend((1..=300u64).map(|x| (8, vec![x], x as i64)));
+        entries.extend((1..=60u64).flat_map(|y| (1..=60u64).map(move |x| (9, vec![x, y], 1))));
+        let before = env.snapshot();
+        let packed = build(&env, "packed", &entries, views.clone(), 2);
+        let pack_io = env.snapshot().since(&before);
+        let mut stream = VecStream::new(
+            entries
+                .iter()
+                .map(|(v, c, q)| (*v, Point::new(c, 2), AggState::from_measure(*q)))
+                .collect(),
+        );
+        let fid = env.create_file("written").unwrap();
+        let before = env.snapshot();
+        let written = write_tree(
+            env.pool().clone(),
+            None,
+            &mut stream,
+            fid,
+            2,
+            views,
+            LeafFormat::Compressed,
+        )
+        .unwrap();
+        assert_eq!(env.snapshot().since(&before), pack_io, "same writes, no reads");
+        let bytes = |t: &PackedRTree| {
+            std::fs::read(env.pool().file(t.file_id()).unwrap().path()).unwrap()
+        };
+        assert_eq!(bytes(&written), bytes(&packed));
+        assert_eq!(dump(&written), dump(&packed));
+        // The load is the merge loop, so its stream is checked the same way.
+        let mut stream = VecStream::new(vec![
+            (8, Point::new(&[2], 2), AggState::from_measure(1)),
+            (8, Point::new(&[1], 2), AggState::from_measure(1)),
+        ]);
+        let fid = env.create_file("unsorted").unwrap();
+        let views = vec![sum_view(8, 1)];
+        let err = write_tree(env.pool().clone(), None, &mut stream, fid, 2, views, LeafFormat::Compressed)
+            .err()
+            .expect("an unsorted load must be rejected");
+        assert!(err.to_string().contains("strictly increasing"), "got: {err}");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! analysis (§2.4): the probability that the top levels of every index stay
 //! resident determines search performance, and it is why SelectMapping's
 //! *minimal* forest beats one-tree-per-view. Dirty frames are written back on
-//! eviction and on [`BufferPool::flush_all`]; reads absorbed by the pool are
+//! eviction and on [`BufferPool::flush_all`]; [`BufferPool::evict_all`] also
+//! empties the pool for a cold start. Reads absorbed by the pool are
 //! counted as buffer hits rather than physical I/O.
 //!
 //! The pool is safe to share across threads: one clock behind one mutex.
@@ -176,12 +177,19 @@ impl BufferPool {
 
     /// Writes every dirty frame back to its file, in frame order.
     pub fn flush_all(&self) -> Result<()> {
+        self.write_back_all(&mut self.clock.lock())
+    }
+
+    /// Writes every dirty frame back, then empties every frame and resets
+    /// the clock hand, all under one lock: the next access to any page is a
+    /// physical read, so what ran before leaves no trace in the pool (a
+    /// cold start), and no concurrent write lands between the two steps.
+    pub fn evict_all(&self) -> Result<()> {
         let mut clock = self.clock.lock();
-        for i in 0..clock.frames.len() {
-            if clock.frames[i].occupied && clock.frames[i].dirty {
-                self.write_back(&mut clock, i)?;
-            }
-        }
+        self.write_back_all(&mut clock)?;
+        clock.frames.iter_mut().for_each(|f| f.occupied = false);
+        clock.map.clear();
+        clock.hand = 0;
         Ok(())
     }
 
@@ -279,6 +287,15 @@ impl BufferPool {
         Err(CtError::invalid("buffer pool could not find a victim frame"))
     }
 
+    fn write_back_all(&self, clock: &mut Clock) -> Result<()> {
+        for i in 0..clock.frames.len() {
+            if clock.frames[i].occupied && clock.frames[i].dirty {
+                self.write_back(clock, i)?;
+            }
+        }
+        Ok(())
+    }
+
     fn write_back(&self, clock: &mut Clock, idx: usize) -> Result<()> {
         let (fid, pid) = clock.frames[idx].key;
         let file = self
@@ -356,6 +373,41 @@ mod tests {
         let mut page = Page::zeroed();
         file.read_page(pid, &mut page).unwrap();
         assert_eq!(page.get_u64(8), 42);
+    }
+
+    #[test]
+    fn evict_all_persists_dirty_pages_and_starts_cold() {
+        let (_d, stats, pool, fid) = pool(4);
+        let pid = pool.new_page(fid).unwrap();
+        pool.with_page_mut(fid, pid, |p| p.put_u64(8, 42)).unwrap();
+        pool.evict_all().unwrap();
+        let before = stats.snapshot();
+        assert_eq!(pool.with_page(fid, pid, |p| p.get_u64(8)).unwrap(), 42);
+        let d = stats.snapshot().since(&before);
+        assert_eq!((d.seq_reads + d.rand_reads, d.buffer_hits), (1, 0), "{d:?}");
+        // A writer racing the evictions loses no write: every write puts a
+        // fresh word, so a frame emptied while dirty drops one for good.
+        let pids: Vec<PageId> = (0..8).map(|_| pool.new_page(fid).unwrap()).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for &pid in &pids {
+                    for k in 1..1024 {
+                        pool.with_page_mut(fid, pid, |p| p.put_u64(8 * k, k as u64)).unwrap();
+                    }
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
+            });
+            while !done.load(std::sync::atomic::Ordering::Acquire) {
+                pool.evict_all().unwrap();
+            }
+        });
+        pool.evict_all().unwrap();
+        for &pid in &pids {
+            let words: Vec<u64> =
+                pool.with_page(fid, pid, |p| (1..1024).map(|k| p.get_u64(8 * k)).collect()).unwrap();
+            assert_eq!(words, (1..1024).collect::<Vec<u64>>());
+        }
     }
 
     #[test]

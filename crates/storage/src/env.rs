@@ -139,45 +139,23 @@ pub const DEFAULT_POOL_PAGES: usize = 4096;
 
 impl StorageEnv {
     /// Creates an environment with the default (paper-matching) buffer size
-    /// and cost model.
+    /// and cost model, one worker, no metrics and no faults.
     pub fn new(prefix: &str) -> Result<Self> {
-        StorageEnv::with_config(prefix, DEFAULT_POOL_PAGES, CostModel::default())
+        StorageEnv::with_config(
+            prefix,
+            DEFAULT_POOL_PAGES,
+            CostModel::default(),
+            Parallelism::default(),
+            Recorder::disabled(),
+            FaultPlan::none(),
+        )
     }
 
-    /// Creates an environment with an explicit pool size (in pages) and cost
-    /// model.
-    pub fn with_config(prefix: &str, pool_pages: usize, cost: CostModel) -> Result<Self> {
-        Self::with_config_parallel(prefix, pool_pages, cost, Parallelism::default())
-    }
-
-    /// Like [`StorageEnv::with_config`] with an explicit worker budget.
-    pub fn with_config_parallel(
-        prefix: &str,
-        pool_pages: usize,
-        cost: CostModel,
-        parallelism: Parallelism,
-    ) -> Result<Self> {
-        Self::with_config_full(prefix, pool_pages, cost, parallelism, Recorder::disabled())
-    }
-
-    /// The fully explicit constructor: worker budget plus a metrics
-    /// [`Recorder`]. Pass [`Recorder::disabled`] (what every other
-    /// constructor does) for the zero-cost path; pass an enabled recorder to
-    /// have the buffer pool, sorter and everything built on top report
-    /// counters and phase spans into it.
-    pub fn with_config_full(
-        prefix: &str,
-        pool_pages: usize,
-        cost: CostModel,
-        parallelism: Parallelism,
-        recorder: Recorder,
-    ) -> Result<Self> {
-        Self::with_config_faults(prefix, pool_pages, cost, parallelism, recorder, FaultPlan::none())
-    }
-
-    /// Like [`StorageEnv::with_config_full`] with a fault plan threaded into
-    /// every file the environment creates (see [`FaultPlan`]).
-    pub fn with_config_faults(
+    /// Creates an environment in a fresh self-deleting temp directory named
+    /// after `prefix`, with [`StorageEnv::open_at`]'s settings: pool pages,
+    /// cost model, worker budget, metrics [`Recorder`] (disabled costs
+    /// nothing) and the [`FaultPlan`] threaded into every file it creates.
+    pub fn with_config(
         prefix: &str,
         pool_pages: usize,
         cost: CostModel,
@@ -267,7 +245,7 @@ impl StorageEnv {
     }
 
     /// The environment's metrics recorder (disabled unless the environment
-    /// was built with [`StorageEnv::with_config_full`]).
+    /// was built with an enabled one).
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
@@ -295,8 +273,7 @@ impl StorageEnv {
         self.dir.path()
     }
 
-    /// The environment's fault plan (inert unless built with
-    /// [`StorageEnv::with_config_faults`] / [`StorageEnv::open_at`]).
+    /// The environment's fault plan (inert unless built with an armed one).
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
     }
@@ -619,11 +596,13 @@ mod tests {
         assert_eq!(Parallelism::new(4).threads, 4);
         let env = StorageEnv::new("env-par").unwrap();
         assert_eq!(env.parallelism().threads, 1);
-        let env = StorageEnv::with_config_parallel(
+        let env = StorageEnv::with_config(
             "env-par",
             64,
             CostModel::default(),
             Parallelism::new(3),
+            Recorder::disabled(),
+            FaultPlan::none(),
         )
         .unwrap();
         assert_eq!(env.parallelism().threads, 3);
@@ -631,12 +610,13 @@ mod tests {
 
     #[test]
     fn phases_attribute_io_deltas() {
-        let env = StorageEnv::with_config_full(
+        let env = StorageEnv::with_config(
             "env-phase",
             16,
             CostModel::default(),
             Parallelism::default(),
             ct_obs::Recorder::enabled(),
+            FaultPlan::none(),
         )
         .unwrap();
         {

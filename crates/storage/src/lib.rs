@@ -24,10 +24,10 @@
 //!   page write, fail by path match, or crash at a named point, so the crash
 //!   window of every update can be exercised in tests.
 //!
-//! Observability: every constructor defaults to a disabled `ct_obs` recorder
-//! (zero cost); build the environment with [`StorageEnv::with_config_full`]
-//! to attribute page I/O and wall time to phases ([`env::Phase`]) and to
-//! light up the buffer/sorter counters documented in `OBSERVABILITY.md`.
+//! Observability: [`StorageEnv::new`] uses a disabled `ct_obs` recorder
+//! (zero cost); build the environment with an enabled one to attribute page
+//! I/O and wall time to phases ([`env::Phase`]) and to light up the
+//! buffer/sorter counters documented in `OBSERVABILITY.md`.
 
 // I/O error paths must propagate, not panic; test code is exempt.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -128,7 +128,7 @@ impl Fixture {
         {
             let (env, _) = open_env(&post_dir, FaultPlan::none());
             let forest =
-                CubetreeForest::open(&env, &views, &[], LeafFormat::Compressed).expect("reopen");
+                CubetreeForest::open(&env, &cat, &views, &[], LeafFormat::Compressed).expect("reopen");
             forest.update(&env, &cat, &delta).expect("clean update");
             env.pool().flush_all().unwrap();
         }
@@ -148,7 +148,7 @@ impl Fixture {
         let outcome = {
             let (env, _) = open_env(&self.scratch, plan.clone());
             let forest =
-                CubetreeForest::open(&env, &self.views, &[], LeafFormat::Compressed)
+                CubetreeForest::open(&env, &self.cat, &self.views, &[], LeafFormat::Compressed)
                     .expect("reopen pristine copy");
             // A reader in flight across the crash: pinned before the fault
             // arms, finished after the update died (or committed).
@@ -179,7 +179,7 @@ impl Fixture {
         // Simulated restart: recover the directory and verify the reopened
         // forest is usable before comparing bytes.
         let (env, _recovery) = open_env(&self.scratch, FaultPlan::none());
-        let forest = CubetreeForest::open(&env, &self.views, &[], LeafFormat::Compressed)
+        let forest = CubetreeForest::open(&env, &self.cat, &self.views, &[], LeafFormat::Compressed)
             .expect("recovered forest reopens");
         let rows = execute_query_with_delta(
             &forest.pin(),
@@ -243,7 +243,7 @@ fn pinned_reader_defers_reclamation_past_a_committed_swap() {
     let plan = FaultPlan::new();
     let (env, _) = open_env(&fx.scratch, plan.clone());
     let forest =
-        CubetreeForest::open(&env, &fx.views, &[], LeafFormat::Compressed).unwrap();
+        CubetreeForest::open(&env, &fx.cat, &fx.views, &[], LeafFormat::Compressed).unwrap();
     let pin = forest.pin();
     let old_paths = pin.file_paths();
     assert!(!old_paths.is_empty() && old_paths.iter().all(|p| p.exists()));

@@ -258,7 +258,7 @@ fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
         (answers(&forest, &env), forest.storage_bytes())
     };
     let env = open_env();
-    let forest = CubetreeForest::open(&env, &cfg.views, &cfg.replicas, LeafFormat::Compressed).unwrap();
+    let forest = CubetreeForest::open(&env, w.catalog(), &cfg.views, &cfg.replicas, LeafFormat::Compressed).unwrap();
     assert_eq!(answers(&forest, &env), before, "same bytes, read under another configured format");
     assert_eq!(forest.storage_bytes(), elided_bytes);
 
@@ -278,8 +278,9 @@ fn a_zero_elided_forest_reopens_and_refreshes_into_compressed() {
 
 /// `CubetreeEngine::open_at` over a persistent directory: a fresh directory
 /// opens (and reopens) unloaded; an engine that loaded, refreshed, ingested
-/// and compacted there reopens after a drop at the same generation, and
-/// answers like a reference engine that made the same moves in memory.
+/// and compacted there reopens after a drop at the same generation, answers
+/// like a reference engine that made the same moves in memory, and keeps
+/// doing so after both ingest and compact one more batch.
 #[test]
 fn a_persistent_engine_reopens_at_its_last_commit() {
     use cubetrees_repro::core::ServingEngine;
@@ -315,5 +316,15 @@ fn a_persistent_engine_reopens_at_its_last_commit() {
 
     let reopened = open();
     assert_eq!(ServingEngine::generation(&reopened), generation);
+    assert_eq!(answers(&reopened), answers(&reference));
+
+    // The reopened forest keys its delta tier like the one built here, so
+    // it takes the same fact-shaped rows and compacts them alike.
+    let more = streamed.generate_increment(0.05);
+    for e in [&reopened, &reference] {
+        e.ingest(&more).unwrap();
+        assert!(e.compact_delta().unwrap(), "the second batch compacts");
+    }
+    assert_eq!(ServingEngine::generation(&reopened), generation + 1);
     assert_eq!(answers(&reopened), answers(&reference));
 }

@@ -273,6 +273,39 @@ fn delta_merges_into_derived_view_answers() {
     assert_eq!(rows[0].agg, 32.0);
 }
 
+/// A view on a derived attribute keys the delta tier by the attribute's
+/// hierarchy root: a `brand` view folds ingested `p` rows, which the fact
+/// carries and a tier keyed by `brand` could not take.
+#[test]
+fn a_derived_view_keys_the_tier_by_its_root() {
+    let views = vec![
+        ViewDef::new(0, vec![BRAND, AttrId(1)], AggFn::Sum),
+        ViewDef::new(1, vec![AttrId(2)], AggFn::Sum),
+    ];
+    let built_over = |rows: &[(u64, u64, u64, i64)]| {
+        let mut engine = CubetreeEngine::new(catalog(), CubetreeConfig::new(views.clone())).unwrap();
+        engine.load(&relation(rows)).unwrap();
+        engine
+    };
+    let base = [(1, 1, 1, 10), (2, 3, 4, 20), (5, 2, 6, 30)];
+    let more = [(4, 1, 1, 5), (2, 3, 4, 7), (8, 5, 2, 9)];
+    let engine = built_over(&base);
+    let tier = engine.forest().unwrap().delta().attrs().to_vec();
+    assert_eq!(tier, vec![AttrId(0), AttrId(1), AttrId(2)]);
+    engine.ingest(&relation(&more)).unwrap();
+    let qs = [
+        SliceQuery::new(vec![BRAND], vec![]),
+        SliceQuery::new(vec![AttrId(1)], vec![(BRAND, 2)]),
+        SliceQuery::new(vec![AttrId(2)], vec![]),
+        SliceQuery::new(vec![], vec![]),
+    ];
+    let all: Vec<_> = base.iter().chain(&more).copied().collect();
+    let truth = answers(&built_over(&all), &qs);
+    assert_eq!(answers(&engine, &qs), truth, "delta folded");
+    assert!(engine.compact_delta().unwrap());
+    assert_eq!(answers(&engine, &qs), truth, "after compaction");
+}
+
 /// Retractions are refused at ingest time unless *every* view's aggregate
 /// is deletion-safe (COUNT/AVG/SUM+COUNT) — before the rows become
 /// visible, not at compaction.

@@ -59,11 +59,13 @@ fn view(id: u32, mask: u8, perm: u64) -> ViewDef {
 }
 
 fn env(threads: usize) -> StorageEnv {
-    StorageEnv::with_config_parallel(
+    StorageEnv::with_config(
         "view-plan",
         64,
         cubetrees_repro::common::CostModel::default(),
         Parallelism::new(threads),
+        cubetrees_repro::obs::Recorder::disabled(),
+        cubetrees_repro::storage::FaultPlan::none(),
     )
     .unwrap()
 }
